@@ -109,15 +109,27 @@ func TestBatch2DRoundTrip(t *testing.T) {
 func TestBatch2DEmptyBatchIsNoOp(t *testing.T) {
 	Batch2D(nil, DirForward)
 	Batch2D([]*grid.CMat{}, DirInverse)
+	Batch2DInversePruned(nil, nil, 0)
+	Batch2DForwardBand(nil, nil, 0)
 }
 
 func TestBatch2DShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on mixed-shape batch")
-		}
-	}()
-	Batch2D([]*grid.CMat{grid.NewCMat(8, 8), grid.NewCMat(16, 16)}, DirForward)
+	mixed := []*grid.CMat{grid.NewCMat(8, 8), grid.NewCMat(16, 16)}
+	live := make([]bool, 8)
+	for name, run := range map[string]func(){
+		"dense":  func() { Batch2D(mixed, DirForward) },
+		"pruned": func() { Batch2DInversePruned(mixed, live, 1) },
+		"band":   func() { Batch2DForwardBand(mixed, live, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic on mixed-shape batch", name)
+				}
+			}()
+			run()
+		}()
+	}
 }
 
 func BenchmarkBatch2D(b *testing.B) {

@@ -20,76 +20,41 @@ import (
 // sign of a twiddled zero product can never escape. TestZeroRowTransform
 // locks that property down at the bit level for every plan shape.
 //
-// Inverse2DPruned exploits it: the caller passes a row-support mask and
-// the row pass only transforms the live rows; the cache-blocked column
-// pass then runs exactly as in the dense transform (after the row pass
-// the live rows are spatially dense, so no column can be skipped). The
-// result is bit-identical to Inverse2D — pruning is exact, not
+// Batch2DInversePruned exploits it: the caller passes a row-support
+// mask and the row pass only transforms the live rows; the cache-blocked
+// column pass then runs exactly as in the dense transform (after the row
+// pass the live rows are spatially dense, so no column can be skipped).
+// The result is bit-identical to Inverse2D — pruning is exact, not
 // approximate — provided the contract holds that every dead row contains
 // only +0 entries. The litho hot path guarantees that by writing its
 // per-kernel products row-restricted and explicitly zero-filling dead
 // rows of the pooled buffers.
 //
-// Forward2DBand is the mirror image for the adjoint direction: there the
-// input is spatially dense but the consumer only reads the spectrum rows
-// inside the pupil band (the product against a band-limited adjoint
-// kernel spectrum annihilates everything else). A rows-then-columns
-// forward cannot skip anything — the row index of the output is produced
-// by the column pass, whose decimation-in-time butterflies share their
-// intermediates across all outputs. Running the separable transform in
-// the other order, columns first, makes the output row index final after
-// the first pass, so the second (row) pass can simply skip every row the
-// caller will not read. The pruning is exact: live rows carry precisely
-// the 1-D transforms the dense columns-first transform would produce,
-// bit for bit at any worker count (TestForward2DBand locks this down);
-// dead rows are left mid-transform and hold unspecified values. Note the
-// columns-first operand grouping rounds differently than Forward2D's
-// rows-first grouping — the two dense orders agree only to floating-point
-// accuracy, so a caller switching an existing pipeline onto this path
-// changes result bits once, at the accuracy level, not the exactness of
-// the pruning.
+// Batch2DForwardBand is the mirror image for the adjoint direction:
+// there the input is spatially dense but the consumer only reads the
+// spectrum rows inside the pupil band (the product against a
+// band-limited adjoint kernel spectrum annihilates everything else). A
+// rows-then-columns forward cannot skip anything — the row index of the
+// output is produced by the column pass, whose decimation-in-time
+// butterflies share their intermediates across all outputs. Running the
+// separable transform in the other order, columns first, makes the
+// output row index final after the first pass, so the second (row) pass
+// can simply skip every row the caller will not read. The pruning is
+// exact: live rows carry precisely the 1-D transforms the dense
+// columns-first transform would produce, bit for bit at any worker count
+// (TestForward2DBandBitIdentical locks this down); dead rows are left
+// mid-transform and hold unspecified values. Note the columns-first
+// operand grouping rounds differently than Forward2D's rows-first
+// grouping — the two dense orders agree only to floating-point accuracy,
+// so a caller switching an existing pipeline onto this path changes
+// result bits once, at the accuracy level, not the exactness of the
+// pruning.
 
 // checkRowMask validates the row-support mask length against h.
 func checkRowMask(rowLive []bool, h int) {
 	if len(rowLive) != h {
 		panic(fmt.Sprintf("fft: row mask length %d does not match height %d", len(rowLive), h))
 	}
-}
-
-// Inverse2DPruned computes the in-place 2-D inverse FFT of m, skipping
-// the 1-D row transforms of rows whose rowLive entry is false. Every
-// dead row must contain only +0 entries; the output is then
-// bit-identical to Inverse2D(m) at any worker count.
-func Inverse2DPruned(m *grid.CMat, rowLive []bool) {
-	checkRowMask(rowLive, m.H)
-	rowPlan := planFor(m.W)
-	colPlan := planFor(m.H)
-	if m.H*m.W >= parallelCrossover && parallel.Workers() > 1 {
-		inverse2DPrunedParallel(m, rowLive, rowPlan, colPlan)
-		return
-	}
-	for y := 0; y < m.H; y++ {
-		if rowLive[y] {
-			rowPlan.transform(m.Row(y), true)
-		}
-	}
-	s := getScratch(colBlock * m.H)
-	colPlan.columnsPass(m, 0, m.W, true, s)
-	putScratch(s)
-}
-
-func inverse2DPrunedParallel(m *grid.CMat, rowLive []bool, rowPlan, colPlan *plan) {
-	live := liveRows(rowLive)
-	parallel.DoChunks(len(live), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rowPlan.transform(m.Row(live[i]), true)
-		}
-	})
-	parallel.DoChunks(m.W, 0, func(lo, hi int) {
-		s := getScratch(colBlock * m.H)
-		colPlan.columnsPass(m, lo, hi, true, s)
-		putScratch(s)
-	})
 }
 
 // liveRows flattens a row mask into the slice of live row indices.
@@ -103,50 +68,16 @@ func liveRows(rowLive []bool) []int {
 	return live
 }
 
-// Forward2DBand computes the forward FFT of m columns-first and
-// restricts the second (row) pass to rows whose rowLive entry is true.
-// Live rows of the result are bit-identical to the dense columns-first
-// forward transform at any worker count; dead rows hold unspecified
-// mid-transform values and must not be read. See the package comment
-// for why output pruning requires the columns-first pass order.
-func Forward2DBand(m *grid.CMat, rowLive []bool) {
-	checkRowMask(rowLive, m.H)
-	rowPlan := planFor(m.W)
-	colPlan := planFor(m.H)
-	if m.H*m.W >= parallelCrossover && parallel.Workers() > 1 {
-		forward2DBandParallel(m, rowLive, rowPlan, colPlan)
-		return
-	}
-	s := getScratch(colBlock * m.H)
-	colPlan.columnsPass(m, 0, m.W, false, s)
-	putScratch(s)
-	for y := 0; y < m.H; y++ {
-		if rowLive[y] {
-			rowPlan.transform(m.Row(y), false)
-		}
-	}
-}
-
-func forward2DBandParallel(m *grid.CMat, rowLive []bool, rowPlan, colPlan *plan) {
-	parallel.DoChunks(m.W, 0, func(lo, hi int) {
-		s := getScratch(colBlock * m.H)
-		colPlan.columnsPass(m, lo, hi, false, s)
-		putScratch(s)
-	})
-	live := liveRows(rowLive)
-	parallel.DoChunks(len(live), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rowPlan.transform(m.Row(live[i]), false)
-		}
-	})
-}
-
-// Batch2DForwardBand runs the band-limited forward transform over every
-// matrix of the batch, equivalent to calling Forward2DBand on each with
-// the shared row mask. Like Batch2DInversePruned the column fan-out
-// covers all cache-blocked column groups in one parallel section and
-// the row fan-out all live (matrix, row) pairs in a second; limit caps
-// the participating goroutines (0 = pool width, 1 = strictly serial).
+// Batch2DForwardBand computes the forward FFT of every matrix of the
+// batch columns-first and restricts the second (row) pass to rows whose
+// rowLive entry is true. Live rows of each result are bit-identical to
+// the dense columns-first forward transform at any limit; dead rows hold
+// unspecified mid-transform values and must not be read. See the package
+// comment for why output pruning requires the columns-first pass order.
+// Like Batch2DInversePruned the column fan-out covers all cache-blocked
+// column groups in one parallel section and the row fan-out all live
+// (matrix, row) pairs in a second; limit caps the participating
+// goroutines (0 = pool width, 1 = strictly serial).
 func Batch2DForwardBand(ms []*grid.CMat, rowLive []bool, limit int) {
 	k := len(ms)
 	if k == 0 {
@@ -203,10 +134,11 @@ func Batch2DForwardBand(ms []*grid.CMat, rowLive []bool, limit int) {
 	}
 }
 
-// Batch2DInversePruned runs the pruned inverse transform over every
-// matrix of the batch, equivalent to calling Inverse2DPruned on each
-// with the shared row mask — and therefore bit-identical to a dense
-// Batch2D inverse when the dead-row contract holds. Like Batch2DLimit
+// Batch2DInversePruned computes the in-place 2-D inverse FFT of every
+// matrix of the batch, skipping the 1-D row transforms of rows whose
+// rowLive entry is false. Every dead row must contain only +0 entries;
+// the output is then bit-identical to a dense Batch2DLimit inverse at
+// any limit. Like Batch2DLimit
 // the row fan-out covers all live (matrix, row) pairs in one parallel
 // section and the column fan-out all cache-blocked column groups in a
 // second; limit caps the participating goroutines (0 = pool width,

@@ -72,9 +72,10 @@ func TestZeroRowTransform(t *testing.T) {
 }
 
 // TestInverse2DPrunedBitIdentical is the exactness contract of the
-// tentpole: at every size (even and odd log2, through the parallel
-// crossover) and for pupil-shaped, random, empty and full masks, the
-// pruned inverse must match the dense inverse bit for bit.
+// pruned inverse on a batch of one: at every size (even and odd log2,
+// through the parallel crossover), serial and at the pool width, and
+// for pupil-shaped, random, empty and full masks, it must match the
+// dense inverse bit for bit.
 func TestInverse2DPrunedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{8, 16, 32, 64, 128, 256, 512} {
@@ -88,10 +89,12 @@ func TestInverse2DPrunedBitIdentical(t *testing.T) {
 			m := randMaskedCMat(rng, n, n, live)
 			want := m.Clone()
 			Inverse2D(want)
-			got := m.Clone()
-			Inverse2DPruned(got, live)
-			if !bitsEqual(got, want) {
-				t.Fatalf("n=%d mask %d: pruned inverse differs from dense at the bit level", n, mi)
+			for _, limit := range []int{1, 0} {
+				got := m.Clone()
+				Batch2DInversePruned([]*grid.CMat{got}, live, limit)
+				if !bitsEqual(got, want) {
+					t.Fatalf("n=%d mask %d limit=%d: pruned inverse differs from dense at the bit level", n, mi, limit)
+				}
 			}
 		}
 	}
@@ -105,7 +108,7 @@ func TestInverse2DPrunedRectangular(t *testing.T) {
 	want := m.Clone()
 	Inverse2D(want)
 	got := m.Clone()
-	Inverse2DPruned(got, live)
+	Batch2DInversePruned([]*grid.CMat{got}, live, 1)
 	if !bitsEqual(got, want) {
 		t.Fatal("rectangular pruned inverse differs from dense at the bit level")
 	}
@@ -149,7 +152,7 @@ func TestBatch2DInversePruned(t *testing.T) {
 // colsFirstForward is the independent dense reference for the
 // band-limited forward: every column is gathered and run through the
 // public 1-D Forward, then every row — the same per-buffer transforms
-// and operand grouping Forward2DBand performs, without sharing its
+// and operand grouping Batch2DForwardBand performs, without sharing its
 // blocked column-pass code.
 func colsFirstForward(m *grid.CMat) *grid.CMat {
 	out := m.Clone()
@@ -169,10 +172,11 @@ func colsFirstForward(m *grid.CMat) *grid.CMat {
 	return out
 }
 
-// TestForward2DBandBitIdentical: at every size (even and odd log2,
-// through the parallel crossover) and for pupil-shaped, scattered,
-// empty and full masks, the live rows of the band-limited forward must
-// match the dense columns-first forward bit for bit.
+// TestForward2DBandBitIdentical: on a batch of one, at every size (even
+// and odd log2, through the parallel crossover), serial and at the pool
+// width, and for pupil-shaped, scattered, empty and full masks, the live
+// rows of the band-limited forward must match the dense columns-first
+// forward bit for bit.
 func TestForward2DBandBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for _, n := range []int{8, 16, 32, 64, 128, 256, 512} {
@@ -186,18 +190,11 @@ func TestForward2DBandBitIdentical(t *testing.T) {
 			m := grid.NewCMat(n, n)
 			copy(m.Data, randComplex(rng, n*n))
 			want := colsFirstForward(m)
-			got := m.Clone()
-			Forward2DBand(got, live)
-			for y := 0; y < n; y++ {
-				if !live[y] {
-					continue
-				}
-				for x, gv := range got.Row(y) {
-					wv := want.At(y, x)
-					if math.Float64bits(real(gv)) != math.Float64bits(real(wv)) ||
-						math.Float64bits(imag(gv)) != math.Float64bits(imag(wv)) {
-						t.Fatalf("n=%d mask %d: band forward differs from dense at row %d col %d", n, mi, y, x)
-					}
+			for _, limit := range []int{1, 0} {
+				got := m.Clone()
+				Batch2DForwardBand([]*grid.CMat{got}, live, limit)
+				if y, ok := liveRowsEqual(got, want, live); !ok {
+					t.Fatalf("n=%d mask %d limit=%d: band forward differs from dense at row %d", n, mi, limit, y)
 				}
 			}
 		}
@@ -216,7 +213,7 @@ func TestForward2DBandAccuracy(t *testing.T) {
 	rowsFirst := m.Clone()
 	Forward2D(rowsFirst)
 	colsFirst := m.Clone()
-	Forward2DBand(colsFirst, pupilMask(n, n))
+	Batch2DForwardBand([]*grid.CMat{colsFirst}, pupilMask(n, n), 1)
 	var maxDiff, scale float64
 	for i, v := range colsFirst.Data {
 		w := rowsFirst.Data[i]
@@ -234,9 +231,24 @@ func TestForward2DBandAccuracy(t *testing.T) {
 
 func cmplxAbs(v complex128) float64 { return math.Hypot(real(v), imag(v)) }
 
-// TestBatch2DForwardBand checks the batched variant against the
-// single-matrix path at serial and parallel limits, above and below the
-// parallel crossover.
+// liveRowsEqual reports whether got and want agree bit for bit on every
+// live row, returning the first differing row otherwise.
+func liveRowsEqual(got, want *grid.CMat, live []bool) (int, bool) {
+	for _, y := range liveRows(live) {
+		for x, gv := range got.Row(y) {
+			wv := want.At(y, x)
+			if math.Float64bits(real(gv)) != math.Float64bits(real(wv)) ||
+				math.Float64bits(imag(gv)) != math.Float64bits(imag(wv)) {
+				return y, false
+			}
+		}
+	}
+	return -1, true
+}
+
+// TestBatch2DForwardBand checks a batch of five against the dense
+// columns-first reference at serial and parallel limits, above and
+// below the parallel crossover.
 func TestBatch2DForwardBand(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	for _, n := range []int{32, 64, 256} {
@@ -252,18 +264,12 @@ func TestBatch2DForwardBand(t *testing.T) {
 				got[i] = m.Clone()
 			}
 			for i := 0; i < k; i++ {
-				Forward2DBand(want[i], live)
+				want[i] = colsFirstForward(want[i])
 			}
 			Batch2DForwardBand(got, live, limit)
 			for i := 0; i < k; i++ {
-				for _, y := range liveRows(live) {
-					for x, gv := range got[i].Row(y) {
-						wv := want[i].At(y, x)
-						if math.Float64bits(real(gv)) != math.Float64bits(real(wv)) ||
-							math.Float64bits(imag(gv)) != math.Float64bits(imag(wv)) {
-							t.Fatalf("n=%d limit=%d: batched band forward differs at matrix %d row %d", n, limit, i, y)
-						}
-					}
+				if y, ok := liveRowsEqual(got[i], want[i], live); !ok {
+					t.Fatalf("n=%d limit=%d: batched band forward differs at matrix %d row %d", n, limit, i, y)
 				}
 			}
 		}
@@ -276,7 +282,7 @@ func TestForward2DBandMaskLengthPanics(t *testing.T) {
 			t.Fatal("expected panic on mask length mismatch")
 		}
 	}()
-	Forward2DBand(grid.NewCMat(8, 8), make([]bool, 4))
+	Batch2DForwardBand([]*grid.CMat{grid.NewCMat(8, 8)}, make([]bool, 4), 1)
 }
 
 func TestInverse2DPrunedMaskLengthPanics(t *testing.T) {
@@ -285,7 +291,7 @@ func TestInverse2DPrunedMaskLengthPanics(t *testing.T) {
 			t.Fatal("expected panic on mask length mismatch")
 		}
 	}()
-	Inverse2DPruned(grid.NewCMat(8, 8), make([]bool, 4))
+	Batch2DInversePruned([]*grid.CMat{grid.NewCMat(8, 8)}, make([]bool, 4), 1)
 }
 
 // BenchmarkInversePruned compares the dense inverse with the pruned
@@ -297,6 +303,7 @@ func BenchmarkInversePruned(b *testing.B) {
 		live := pupilMask(n, max(2, 2*(int(math.Ceil(float64(n)/21.3*1.8))+1)))
 		src := randMaskedCMat(rng, n, n, live)
 		m := grid.NewCMat(n, n)
+		batch := []*grid.CMat{m}
 		b.Run("dense/"+itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(m.Data, src.Data)
@@ -306,7 +313,7 @@ func BenchmarkInversePruned(b *testing.B) {
 		b.Run("pruned/"+itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(m.Data, src.Data)
-				Inverse2DPruned(m, live)
+				Batch2DInversePruned(batch, live, 0)
 			}
 		})
 	}
@@ -321,6 +328,7 @@ func BenchmarkForwardBand(b *testing.B) {
 		src := grid.NewCMat(n, n)
 		copy(src.Data, randComplex(rng, n*n))
 		m := grid.NewCMat(n, n)
+		batch := []*grid.CMat{m}
 		b.Run("dense/"+itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(m.Data, src.Data)
@@ -330,7 +338,7 @@ func BenchmarkForwardBand(b *testing.B) {
 		b.Run("band/"+itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(m.Data, src.Data)
-				Forward2DBand(m, live)
+				Batch2DForwardBand(batch, live, 0)
 			}
 		})
 	}

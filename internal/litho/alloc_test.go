@@ -9,9 +9,9 @@ import (
 
 // TestLossGradSteadyStateAllocs is the allocation regression gate for
 // the frequency-domain hot path: once the size-keyed pools are warm, a
-// serial LossGrad evaluation must run allocation-free. Any structural
-// regression — a fresh make in a transform pass, an escaping closure on
-// the serial branch, a pool key mismatch — shows up here as a hard
+// one-worker LossGrad evaluation must run allocation-free. Any
+// structural regression — a fresh make in a transform pass, a fan-out
+// closure built per call, a pool key mismatch — shows up here as a hard
 // failure long before it shows up as GC time in a benchmark.
 func TestLossGradSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {

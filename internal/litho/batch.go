@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"mgsilt/internal/fft"
 	"mgsilt/internal/grid"
@@ -61,9 +62,8 @@ func (s *Simulator) Fingerprint() string {
 // LossGradBatch evaluates LossGrad for T (mask, target) pairs sharing
 // one geometry and one LossOpts, amortising the FFT work: per process
 // condition, the k·T per-kernel field spectra of the whole batch go
-// through ONE batched transform (fft.Batch2D) in each direction
-// instead of T separate k-wide batches, so the two-barrier transform
-// fan-out spans the entire batch.
+// through ONE batched transform (fft.Batch2D) in each direction, so the
+// two-barrier transform fan-out spans the entire batch.
 //
 // Results are bit-identical to calling LossGrad per pair: each pair's
 // kernel partials are reduced in kernel order by its own accumulators,
@@ -79,6 +79,108 @@ func (s *Simulator) LossGradBatch(masks, targets []*grid.Mat, opts LossOpts) ([]
 	if len(masks) == 0 {
 		return nil, nil
 	}
+	w := s.lossGrad(masks, targets, opts)
+	losses := append([]float64(nil), w.losses...)
+	grads := append([]*grid.Mat(nil), w.grads...)
+	clear(w.grads) // ownership passes to the caller
+	w.release()
+	return losses, grads
+}
+
+// hopkinsWork is the pooled state of one lockstep evaluation over T
+// (mask, target) pairs sharing one grid size: the per-pair spectra,
+// intensities, ∂L/∂I and adjoint accumulators, the k·T per-kernel
+// field buffers (pair i's kernel j at index i·k+j), and the
+// per-condition values the fan-out bodies read. Every matrix comes
+// from the grid pools and every slice keeps its capacity across uses,
+// and the fan-out bodies are bound as method values once per pooled
+// item, so a steady-state evaluation allocates nothing.
+type hopkinsWork struct {
+	s    *Simulator
+	size int
+
+	masks, targets []*grid.Mat
+	losses         []float64
+	grads          []*grid.Mat
+	fms            []*grid.CMat // F(mask) per pair
+	ints           []*grid.Mat  // intensity per pair
+	gs             []*grid.Mat  // ∂L/∂I per pair
+	accs           []*grid.CMat // adjoint accumulator per pair
+	fields         []*grid.CMat // k per pair
+
+	p      *prepared
+	k      int
+	dose   float64
+	weight float64
+
+	spectrumFn, productFn, intensityFn, resistFn, sourceFn, adjointFn, reduceFn, gradFn func(int)
+}
+
+var workPool = sync.Pool{New: func() any {
+	w := &hopkinsWork{}
+	w.spectrumFn = w.spectrum
+	w.productFn = w.product
+	w.intensityFn = w.intensity
+	w.resistFn = w.resist
+	w.sourceFn = w.source
+	w.adjointFn = w.adjoint
+	w.reduceFn = w.reduce
+	w.gradFn = w.grad
+	return w
+}}
+
+// getWork returns an empty pooled work item for size×size pairs.
+func (s *Simulator) getWork(size int) *hopkinsWork {
+	w := workPool.Get().(*hopkinsWork)
+	w.s, w.size = s, size
+	return w
+}
+
+// getMats appends n pooled size×size matrices to ms[:0].
+func getMats(ms []*grid.Mat, n, size int) []*grid.Mat {
+	ms = ms[:0]
+	for i := 0; i < n; i++ {
+		ms = append(ms, grid.GetMat(size, size))
+	}
+	return ms
+}
+
+// getCMats is getMats for complex matrices.
+func getCMats(ms []*grid.CMat, n, size int) []*grid.CMat {
+	ms = ms[:0]
+	for i := 0; i < n; i++ {
+		ms = append(ms, grid.GetCMat(size, size))
+	}
+	return ms
+}
+
+// release returns every pooled matrix still held (entries the caller
+// took over must be nil) and the work item itself to their pools.
+func (w *hopkinsWork) release() {
+	w.putFields()
+	grid.PutMats(w.grads)
+	grid.PutMats(w.ints)
+	grid.PutMats(w.gs)
+	grid.PutCMats(w.fms)
+	grid.PutCMats(w.accs)
+	clear(w.masks)
+	clear(w.targets)
+	w.masks, w.targets, w.losses, w.grads = w.masks[:0], w.targets[:0], w.losses[:0], w.grads[:0]
+	w.fms, w.ints, w.gs, w.accs = w.fms[:0], w.ints[:0], w.gs[:0], w.accs[:0]
+	w.s, w.p = nil, nil
+	workPool.Put(w)
+}
+
+// putFields returns the per-kernel field buffers to the pool.
+func (w *hopkinsWork) putFields() {
+	grid.PutCMats(w.fields)
+	w.fields = w.fields[:0]
+}
+
+// lossGrad validates a batch and runs the loss-gradient engine over it,
+// returning the work item holding losses and gradients; the caller
+// takes what it returns and releases the rest.
+func (s *Simulator) lossGrad(masks, targets []*grid.Mat, opts LossOpts) *hopkinsWork {
 	size := masks[0].H
 	for i, m := range masks {
 		if !m.SameShape(targets[i]) {
@@ -89,129 +191,167 @@ func (s *Simulator) LossGradBatch(masks, targets []*grid.Mat, opts LossOpts) ([]
 		}
 	}
 	injectAerial()
-	stretch := opts.Stretch
-	if stretch < 1 {
+	if opts.Stretch < 1 {
 		panic("litho: LossOpts.Stretch must be >= 1")
 	}
-	ks := s.kernelStretch(size, stretch)
+	ks := s.kernelStretch(size, opts.Stretch)
 	fidelity := s.effFidelity(opts.Fidelity)
 
+	w := s.getWork(size)
+	w.masks = append(w.masks, masks...)
+	w.targets = append(w.targets, targets...)
 	T := len(masks)
-	losses := make([]float64, T)
-	grads := make([]*grid.Mat, T)
-	fms := make([]*grid.CMat, T)
-	for i := range masks {
-		grads[i] = grid.GetMat(size, size).Zero()
-		fms[i] = grid.GetCMat(size, size)
+	for range T {
+		w.losses = append(w.losses, 0)
 	}
-	limit := s.workersFor(T)
-	parallel.Do(T, limit, func(i int) { fft.ForwardReal2D(fms[i], masks[i]) })
-
-	s.lossGradConditionBatch(fms, targets, s.Nominal(), ks, fidelity, 1, losses, grads)
+	w.grads = getMats(w.grads, T, size)
+	for _, g := range w.grads {
+		g.Zero()
+	}
+	w.spectra()
+	w.condition(s.Nominal(), ks, fidelity, 1)
 	if opts.PVWeight > 0 {
-		s.lossGradConditionBatch(fms, targets, s.Inner(), ks, fidelity, opts.PVWeight, losses, grads)
-		s.lossGradConditionBatch(fms, targets, s.Outer(), ks, fidelity, opts.PVWeight, losses, grads)
+		w.condition(s.Inner(), ks, fidelity, opts.PVWeight)
+		w.condition(s.Outer(), ks, fidelity, opts.PVWeight)
 	}
-	for _, fm := range fms {
-		grid.PutCMat(fm)
-	}
-	return losses, grads
+	return w
 }
 
-// lossGradConditionBatch is lossGradCondition over a batch: the k·T
-// field buffers of all pairs share each batched transform, and every
-// pair reduces its own k kernel partials in kernel order — the exact
-// floating-point sequence of the single-pair path.
-func (s *Simulator) lossGradConditionBatch(fms []*grid.CMat, targets []*grid.Mat, cond Condition, kernelStretch int, fidelity, weight float64, losses []float64, grads []*grid.Mat) {
-	size := fms[0].H
-	p := s.preparedFor(cond.Focus, size, kernelStretch, fidelity)
-	k := len(p.freq)
-	T := len(fms)
-	kt := k * T
-	limit := s.workersFor(kt)
-	kernelsEvaluated.Add(int64(kt))
+// spectra transforms every mask into w.fms (masks are real: half a
+// complex transform each).
+func (w *hopkinsWork) spectra() {
+	T := len(w.masks)
+	w.fms = getCMats(w.fms, T, w.size)
+	parallel.Do(T, w.s.workersFor(T), w.spectrumFn)
+}
 
-	// Forward pass: field i*k+j is pair i's kernel-j spectrum. One
-	// fan-out builds all k·T products; one batched transform inverts
-	// them; each pair then reduces its own fields serially in kernel
-	// order into its own intensity.
-	fs := getFields(kt, size, size)
-	fields := fs.cm
-	parallel.Do(kt, limit, func(f int) { prodLive(fields[f], fms[f/k], p.freq[f%k], p.rowLive) })
-	fft.Batch2DInversePruned(fields, p.rowLive, limit)
+func (w *hopkinsWork) spectrum(i int) { fft.ForwardReal2D(w.fms[i], w.masks[i]) }
 
-	intensities := grid.GetMats(T, size, size)
-	gs := grid.GetMats(T, size, size) // per-pair ∂L/∂I, fully overwritten
-	steep, th, dose := s.cfg.SigmoidSteep, s.cfg.Threshold, cond.Dose
-	tileWorkers := limit
-	if tileWorkers > T {
-		tileWorkers = T
+// forward is the forward half of the Hopkins sum under one prepared
+// kernel set: one fan-out builds all k·T field spectra H_j ⊙ F(M_i),
+// ONE batched pruned inverse transform turns them into fields A_ij,
+// and each pair then reduces its own fields in kernel order into
+// w.ints[i] = Σ_j w_j|A_ij|². It leaves the fields in w.fields and
+// returns the fan-out width.
+func (w *hopkinsWork) forward(p *prepared) int {
+	k, T := len(p.freq), len(w.fms)
+	limit := w.s.workersFor(k * T)
+	kernelsEvaluated.Add(int64(k * T))
+	w.p, w.k = p, k
+	w.fields = getCMats(w.fields, k*T, w.size)
+	parallel.Do(k*T, limit, w.productFn)
+	fft.Batch2DInversePruned(w.fields, p.rowLive, limit)
+	if len(w.ints) != T {
+		w.ints = getMats(w.ints, T, w.size)
 	}
-	parallel.Do(T, tileWorkers, func(i int) {
-		intensity := intensities[i].Zero()
-		for j := 0; j < k; j++ {
-			fields[i*k+j].AddAbsSqScaled(intensity, p.weights[j])
-		}
-		// Resist + loss, serial per pair: the scalar accumulation is
-		// order-sensitive and must replay the single-pair sweep.
-		target := targets[i]
-		g := gs[i]
-		loss := 0.0
-		for j, v := range intensity.Data {
-			z := sigmoid(steep * (dose*v - th))
-			d := z - target.Data[j]
-			loss += d * d
-			g.Data[j] = 2 * d * steep * dose * z * (1 - z)
-		}
-		losses[i] += weight * loss
-	})
+	parallel.Do(T, min(limit, T), w.intensityFn)
+	return limit
+}
 
-	// Adjoint pass: q overwrites each field in place, one batched
-	// forward transform covers all k·T, then each pair accumulates its
-	// kernels in kernel order and inverts its own accumulator.
-	parallel.Do(kt, limit, func(f int) { mulRealConj(fields[f], gs[f/k]) })
-	fft.Batch2DForwardBand(fields, p.adjLive, limit)
-	// Like the single-pair path, the adjoint products and the per-pair
-	// reductions only touch the adjoint row support, so the band-limited
-	// forward may leave every dead output row mid-transform; its live
-	// rows match the single-pair transform bit for bit.
-	parallel.Do(kt, limit, func(f int) {
-		a := fields[f]
-		adj := p.adjoint[f%k]
-		for _, y := range p.adjRows {
-			ar, jr := a.Row(y), adj.Row(y)
-			for x, qv := range ar {
-				ar[x] = jr[x] * qv
+func (w *hopkinsWork) product(f int) {
+	prodLive(w.fields[f], w.fms[f/w.k], w.p.freq[f%w.k], w.p.rowLive)
+}
+
+func (w *hopkinsWork) intensity(i int) {
+	in := w.ints[i].Zero()
+	for j := 0; j < w.k; j++ {
+		w.fields[i*w.k+j].AddAbsSqScaled(in, w.p.weights[j])
+	}
+}
+
+// condition accumulates weight·∇L_cond into every pair's gradient and
+// weight·L_cond into its loss, where L_cond = Σ (Z − Z_t)² with Z the
+// sigmoid resist under the given condition.
+//
+// Derivation: with A_k = F⁻¹(H_k ⊙ F(M)) and I = Σ w_k|A_k|²,
+// perturbing the real mask gives δI = Σ 2 w_k Re[conj(A_k)·(h_k ⊗ δM)],
+// so with g = ∂L/∂I,
+//
+//	∇_M L = Σ_k 2 w_k Re[ F⁻¹( H_k(-f) ⊙ F(g ⊙ conj(A_k)) ) ],
+//
+// where H(-f) is the spectrum of the coordinate-reversed kernel (the
+// correlation/adjoint kernel). The per-kernel terms are accumulated in
+// the frequency domain so each pair needs only one inverse transform.
+func (w *hopkinsWork) condition(cond Condition, kernelStretch int, fidelity, weight float64) {
+	p := w.s.preparedFor(cond.Focus, w.size, kernelStretch, fidelity)
+	limit := w.forward(p)
+	T := len(w.fms)
+	w.dose, w.weight = cond.Dose, weight
+	if len(w.gs) != T {
+		w.gs = getMats(w.gs, T, w.size)
+	}
+	parallel.Do(T, min(limit, T), w.resistFn)
+
+	// Adjoint pass: q_k = g ⊙ conj(A_k) overwrites each field in place,
+	// one batched forward transform covers all k·T, and each product
+	// (2w_k·H_k(-f)) ⊙ F(q_k) — the flipped spectra carry the 2w_k
+	// factor from preparation — is formed in place. The adjoint spectra
+	// are band-limited like the forward ones, so only the rows in
+	// p.adjLive of F(q_k) are ever read: the forward batch runs the
+	// band-limited columns-first transform (fft.Batch2DForwardBand),
+	// whose dead output rows are left mid-transform. That is safe
+	// because the product and reduction only touch p.adjRows and
+	// prodLive rewrites (or clears) every row on the next use of the
+	// pooled buffers.
+	parallel.Do(len(w.fields), limit, w.sourceFn)
+	fft.Batch2DForwardBand(w.fields, p.adjLive, limit)
+	parallel.Do(len(w.fields), limit, w.adjointFn)
+	if len(w.accs) != T {
+		w.accs = getCMats(w.accs, T, w.size)
+	}
+	// Each pair reduces its kernels in kernel order into its own
+	// accumulator; the accumulators' inverse then gets the full width,
+	// so a lone large tile keeps its row and column fan-out.
+	parallel.Do(T, min(limit, T), w.reduceFn)
+	fft.Batch2DInversePruned(w.accs, p.adjLive, limit)
+	parallel.Do(T, min(limit, T), w.gradFn)
+	w.putFields()
+}
+
+// resist applies the sigmoid resist to pair i's intensity, adds its
+// weighted L2 loss and writes ∂L/∂I. Serial per pair: the scalar loss
+// accumulation is order-sensitive.
+func (w *hopkinsWork) resist(i int) {
+	steep, th, dose := w.s.cfg.SigmoidSteep, w.s.cfg.Threshold, w.dose
+	target, g := w.targets[i], w.gs[i]
+	loss := 0.0
+	for j, v := range w.ints[i].Data {
+		z := sigmoid(steep * (dose*v - th))
+		d := z - target.Data[j]
+		loss += d * d
+		g.Data[j] = 2 * d * steep * dose * z * (1 - z)
+	}
+	w.losses[i] += w.weight * loss
+}
+
+func (w *hopkinsWork) source(f int) { mulRealConj(w.fields[f], w.gs[f/w.k]) }
+
+func (w *hopkinsWork) adjoint(f int) {
+	a, adj := w.fields[f], w.p.adjoint[f%w.k]
+	for _, y := range w.p.adjRows {
+		ar, jr := a.Row(y), adj.Row(y)
+		for x, qv := range ar {
+			ar[x] = jr[x] * qv
+		}
+	}
+}
+
+func (w *hopkinsWork) reduce(i int) {
+	acc := w.accs[i].Zero()
+	for j := 0; j < w.k; j++ {
+		t := w.fields[i*w.k+j]
+		for _, y := range w.p.adjRows {
+			tr, cr := t.Row(y), acc.Row(y)
+			for x, tv := range tr {
+				cr[x] += tv
 			}
 		}
-	})
-	accs := make([]*grid.CMat, T)
-	for i := range accs {
-		accs[i] = grid.GetCMat(size, size).Zero()
 	}
-	parallel.Do(T, tileWorkers, func(i int) {
-		acc := accs[i]
-		for j := 0; j < k; j++ {
-			t := fields[i*k+j]
-			for _, y := range p.adjRows {
-				tr, cr := t.Row(y), acc.Row(y)
-				for x, tv := range tr {
-					cr[x] += tv
-				}
-			}
-		}
-	})
-	fft.Batch2DInversePruned(accs, p.adjLive, tileWorkers)
-	parallel.Do(T, tileWorkers, func(i int) {
-		grad := grads[i]
-		for j := range grad.Data {
-			grad.Data[j] += weight * real(accs[i].Data[j])
-		}
-	})
-	for _, acc := range accs {
-		grid.PutCMat(acc)
+}
+
+func (w *hopkinsWork) grad(i int) {
+	g, acc := w.grads[i].Data, w.accs[i].Data
+	for j := range g {
+		g[j] += w.weight * real(acc[j])
 	}
-	fs.release()
-	grid.PutMats(intensities)
-	grid.PutMats(gs)
 }

@@ -61,8 +61,8 @@ func TestLossGradBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// A batch of one must equal the lone call exactly, and the empty batch
-// must be a no-op.
+// A batch of one must equal the lone call exactly, the empty batch
+// must be a no-op, and a malformed batch must panic.
 func TestLossGradBatchEdges(t *testing.T) {
 	sim := testSim(t)
 	rng := rand.New(rand.NewSource(7))
@@ -78,6 +78,22 @@ func TestLossGradBatchEdges(t *testing.T) {
 	losses, grads := sim.LossGradBatch(nil, nil, opts)
 	if len(losses) != 0 || len(grads) != 0 {
 		t.Fatalf("empty batch returned %d/%d results", len(losses), len(grads))
+	}
+
+	small := grid.NewMat(testN/2, testN/2)
+	for name, run := range map[string]func(){
+		"count":    func() { sim.LossGradBatch([]*grid.Mat{mask}, nil, opts) },
+		"geometry": func() { sim.LossGradBatch([]*grid.Mat{mask, small}, []*grid.Mat{target, small}, opts) },
+		"stretch":  func() { sim.LossGrad(mask, target, LossOpts{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			run()
+		}()
 	}
 }
 

@@ -13,8 +13,10 @@
 //     with -2% dose ("inner") and nominal focus with +2% dose
 //     ("outer").
 //
+// Every evaluation runs one lockstep engine over a batch of (mask,
+// target) pairs (a single Aerial or LossGrad call is a batch of one).
 // The adjoint gradient of the resist L2 loss is computed entirely in
-// the frequency domain; see lossGradCondition for the derivation.
+// the frequency domain; see hopkinsWork.condition for the derivation.
 package litho
 
 import (
@@ -61,10 +63,10 @@ type Config struct {
 	// simulator: Aerial and LossGrad fan the independent per-kernel
 	// convolutions out over at most Workers goroutines drawn from the
 	// shared internal/parallel pool. 0 (the default) uses the pool
-	// width (GOMAXPROCS or ILT_WORKERS); 1 forces the serial path.
-	// Parallel results are bit-identical to serial for every value —
-	// per-kernel partials are reduced in kernel order — so this is a
-	// pure performance knob.
+	// width (GOMAXPROCS or ILT_WORKERS); 1 runs every fan-out on the
+	// calling goroutine. Results are bit-identical for every value —
+	// each pair reduces its kernel partials in kernel order — so this
+	// is a pure performance knob.
 	Workers int
 	// Fidelity is the default kernel energy budget of every evaluation:
 	// each Hopkins sum runs only the energy-ranked kernel prefix
@@ -116,7 +118,7 @@ type prepKey struct {
 // non-zero. rowLive is the union support of the forward spectra,
 // adjLive of the flipped adjoint spectra; both are detected at the bit
 // level (a row is dead only when every entry is exactly +0), which is
-// what fft.Inverse2DPruned's exactness contract requires.
+// what fft.Batch2DInversePruned's exactness contract requires.
 type prepared struct {
 	weights []float64
 	freq    []*grid.CMat // H(f), corner layout
@@ -147,7 +149,7 @@ func New(nominal, defocus *kernels.Set, cfg Config) (*Simulator, error) {
 	if cfg.DoseDelta < 0 || cfg.DoseDelta >= 1 {
 		return nil, fmt.Errorf("litho: dose delta %v out of [0,1)", cfg.DoseDelta)
 	}
-	if cfg.Fidelity < 0 || cfg.Fidelity > 1 {
+	if !(cfg.Fidelity >= 0 && cfg.Fidelity <= 1) {
 		return nil, fmt.Errorf("litho: fidelity %v out of [0,1]", cfg.Fidelity)
 	}
 	return &Simulator{
@@ -177,9 +179,11 @@ func (s *Simulator) Inner() Condition { return Condition{FocusDefocus, 1 - s.cfg
 func (s *Simulator) Outer() Condition { return Condition{FocusNominal, 1 + s.cfg.DoseDelta} }
 
 // canonFidelity maps a kernel energy budget onto the canonical cache
-// key: anything outside (0,1) means "evaluate the full set".
+// key: anything outside (0,1) — NaN included, so a hostile budget
+// cannot mint a fresh cache entry per call — means "evaluate the full
+// set".
 func canonFidelity(f float64) float64 {
-	if f <= 0 || f >= 1 {
+	if !(f > 0 && f < 1) {
 		return 1
 	}
 	return f
@@ -385,23 +389,13 @@ func injectAerial() {
 func (s *Simulator) aerial(mask *grid.Mat, pixelStretch int, focus Focus) *grid.Mat {
 	injectAerial()
 	p := s.preparedFor(focus, mask.H, s.kernelStretch(mask.H, pixelStretch), s.cfg.Fidelity)
-	limit := s.workersFor(len(p.freq))
-	kernelsEvaluated.Add(int64(len(p.freq)))
-	fm := grid.GetCMat(mask.H, mask.W)
-	fft.ForwardReal2D(fm, mask) // mask is real: half a complex transform
-	intensity := grid.GetMat(mask.H, mask.W).Zero()
-	if limit > 1 {
-		s.aerialParallel(p, fm, intensity, limit)
-	} else {
-		buf := grid.GetCMat(mask.H, mask.W)
-		for i, h := range p.freq {
-			prodLive(buf, fm, h, p.rowLive)
-			fft.Inverse2DPruned(buf, p.rowLive)
-			buf.AddAbsSqScaled(intensity, p.weights[i])
-		}
-		grid.PutCMat(buf)
-	}
-	grid.PutCMat(fm)
+	w := s.getWork(mask.H)
+	w.masks = append(w.masks, mask)
+	w.spectra()
+	w.forward(p)
+	intensity := w.ints[0]
+	w.ints[0] = nil // ownership passes to the caller
+	w.release()
 	return intensity
 }
 
@@ -420,7 +414,7 @@ func KernelsEvaluatedTotal() int64 { return kernelsEvaluated.Load() }
 // ProdOf performs; the dead rows of the product are known zero because
 // b's dead rows are zero, but dst is a pooled buffer carrying stale
 // bits, so they are explicitly reset to +0 — exactly the dead-row
-// contract fft.Inverse2DPruned requires.
+// contract fft.Batch2DInversePruned requires.
 func prodLive(dst, a, b *grid.CMat, live []bool) {
 	for y := 0; y < dst.H; y++ {
 		dr := dst.Row(y)
@@ -433,68 +427,6 @@ func prodLive(dst, a, b *grid.CMat, live []bool) {
 			dr[x] = av * br[x]
 		}
 	}
-}
-
-// aerialParallel fans the per-kernel convolutions of the Hopkins sum
-// out over the worker pool in three flat sections: one elementwise
-// fan-out building every kernel's field spectrum, ONE batched inverse
-// transform covering all k buffers (fft.Batch2D — a single row fan-out
-// plus a single column fan-out instead of k nested 2-D transforms),
-// and one fan-out squaring the fields into per-kernel partials. The
-// partials are then reduced into intensity sequentially in kernel
-// order, which replays the exact floating-point addition sequence of
-// the serial loop (serial: intensity[j] += w_k·|A_k[j]|² for k=0,1,…;
-// parallel: part_k[j] = 0 + w_k·|A_k[j]|² — identical, since 0 + x
-// round-trips exactly — then intensity[j] += part_k[j] in the same k
-// order). Parallel output is therefore bit-identical to serial.
-func (s *Simulator) aerialParallel(p *prepared, fm *grid.CMat, intensity *grid.Mat, limit int) {
-	k := len(p.freq)
-	fs := getFields(k, fm.H, fm.W)
-	fields := fs.cm
-	parallel.Do(k, limit, func(i int) { prodLive(fields[i], fm, p.freq[i], p.rowLive) })
-	fft.Batch2DInversePruned(fields, p.rowLive, limit)
-	parts := grid.GetMats(k, intensity.H, intensity.W)
-	parallel.Do(k, limit, func(i int) {
-		fields[i].AddAbsSqScaled(parts[i].Zero(), p.weights[i])
-	})
-	for _, part := range parts {
-		intensity.Add(part)
-	}
-	grid.PutMats(parts)
-	fs.release()
-}
-
-// fieldScratch recycles the per-evaluation batch of field buffers (one
-// pooled CMat per kernel) plus the pointer slice holding them, so a
-// steady-state LossGrad/Aerial evaluation performs no slice or matrix
-// allocation at all.
-type fieldScratch struct {
-	cm []*grid.CMat
-}
-
-var fieldScratchPool = sync.Pool{New: func() any { return &fieldScratch{} }}
-
-// getFields returns k pooled h×w complex matrices (contents undefined)
-// held in a recycled slice.
-func getFields(k, h, w int) *fieldScratch {
-	fs := fieldScratchPool.Get().(*fieldScratch)
-	if cap(fs.cm) < k {
-		fs.cm = make([]*grid.CMat, k)
-	}
-	fs.cm = fs.cm[:k]
-	for i := range fs.cm {
-		fs.cm[i] = grid.GetCMat(h, w)
-	}
-	return fs
-}
-
-// release returns every matrix and the slice itself to their pools.
-func (fs *fieldScratch) release() {
-	for i, m := range fs.cm {
-		grid.PutCMat(m)
-		fs.cm[i] = nil
-	}
-	fieldScratchPool.Put(fs)
 }
 
 // PrintResist thresholds an aerial image into a binary wafer image at
@@ -563,27 +495,13 @@ type LossOpts struct {
 // The returned gradient is drawn from the grid pool; callers that
 // evaluate in a loop may hand it back with grid.PutMat once consumed
 // to keep the optimisation steady state allocation-free (holding on to
-// it is equally valid — ownership transfers to the caller).
+// it is equally valid — ownership transfers to the caller). It is
+// LossGradBatch for a batch of one, without the result slices.
 func (s *Simulator) LossGrad(mask, target *grid.Mat, opts LossOpts) (float64, *grid.Mat) {
-	if !mask.SameShape(target) {
-		panic(fmt.Sprintf("litho: mask %dx%d vs target %dx%d", mask.H, mask.W, target.H, target.W))
-	}
-	injectAerial()
-	stretch := opts.Stretch
-	if stretch < 1 {
-		panic("litho: LossOpts.Stretch must be >= 1")
-	}
-	ks := s.kernelStretch(mask.H, stretch)
-	fidelity := s.effFidelity(opts.Fidelity)
-	grad := grid.GetMat(mask.H, mask.W).Zero()
-	fm := grid.GetCMat(mask.H, mask.W)
-	fft.ForwardReal2D(fm, mask) // mask is real: half a complex transform
-	loss := s.lossGradCondition(fm, target, s.Nominal(), ks, fidelity, 1, grad)
-	if opts.PVWeight > 0 {
-		loss += s.lossGradCondition(fm, target, s.Inner(), ks, fidelity, opts.PVWeight, grad)
-		loss += s.lossGradCondition(fm, target, s.Outer(), ks, fidelity, opts.PVWeight, grad)
-	}
-	grid.PutCMat(fm)
+	w := s.lossGrad([]*grid.Mat{mask}, []*grid.Mat{target}, opts)
+	loss, grad := w.losses[0], w.grads[0]
+	w.grads[0] = nil // ownership passes to the caller
+	w.release()
 	return loss, grad
 }
 
@@ -593,140 +511,6 @@ func (s *Simulator) effFidelity(opt float64) float64 {
 		return canonFidelity(s.cfg.Fidelity)
 	}
 	return canonFidelity(opt)
-}
-
-// lossGradCondition accumulates weight·∇L_cond into grad and returns
-// weight·L_cond, where L_cond = Σ (Z − Z_t)² with Z the sigmoid resist
-// under the given condition.
-//
-// Derivation: with A_k = F⁻¹(H_k ⊙ F(M)) and I = Σ w_k|A_k|²,
-// perturbing the real mask gives δI = Σ 2 w_k Re[conj(A_k)·(h_k ⊗ δM)],
-// so with g = ∂L/∂I,
-//
-//	∇_M L = Σ_k 2 w_k Re[ F⁻¹( H_k(-f) ⊙ F(g ⊙ conj(A_k)) ) ],
-//
-// where H(-f) is the spectrum of the coordinate-reversed kernel (the
-// correlation/adjoint kernel). The per-kernel terms are accumulated in
-// the frequency domain so only one inverse transform is needed.
-func (s *Simulator) lossGradCondition(fm *grid.CMat, target *grid.Mat, cond Condition, kernelStretch int, fidelity, weight float64, grad *grid.Mat) float64 {
-	size := fm.H
-	p := s.preparedFor(cond.Focus, size, kernelStretch, fidelity)
-	k := len(p.freq)
-	limit := s.workersFor(k)
-	kernelsEvaluated.Add(int64(k))
-
-	// Forward pass: fields and intensity. Every intermediate — the k
-	// field buffers, their holding slice, and the accumulators — comes
-	// from a pool, so the steady state of an optimisation loop performs
-	// no allocation. The k per-kernel spectra are built in one
-	// elementwise fan-out and inverse-transformed by ONE batched
-	// transform (fft.Batch2D): a single row fan-out plus a single
-	// column fan-out instead of k nested 2-D transform sections. Each
-	// kernel's weighted partial intensity lands in its own pooled
-	// buffer and the partials are reduced in kernel order, replaying
-	// the serial floating-point addition sequence exactly (see
-	// aerialParallel) — parallel output is bit-identical to serial at
-	// every worker count.
-	fs := getFields(k, size, size)
-	fields := fs.cm
-	intensity := grid.GetMat(size, size).Zero()
-	if limit > 1 {
-		parallel.Do(k, limit, func(i int) { prodLive(fields[i], fm, p.freq[i], p.rowLive) })
-		fft.Batch2DInversePruned(fields, p.rowLive, limit)
-		parts := grid.GetMats(k, size, size)
-		parallel.Do(k, limit, func(i int) {
-			fields[i].AddAbsSqScaled(parts[i].Zero(), p.weights[i])
-		})
-		for _, part := range parts {
-			intensity.Add(part)
-		}
-		grid.PutMats(parts)
-	} else {
-		for i := range fields {
-			prodLive(fields[i], fm, p.freq[i], p.rowLive)
-		}
-		fft.Batch2DInversePruned(fields, p.rowLive, 1)
-		for i, a := range fields {
-			a.AddAbsSqScaled(intensity, p.weights[i])
-		}
-	}
-
-	// Resist and loss. Kept serial: it is a single O(n²) sweep between
-	// two stacks of O(k·n²·log n) transforms, and the scalar loss
-	// accumulation is order-sensitive.
-	steep, th, dose := s.cfg.SigmoidSteep, s.cfg.Threshold, cond.Dose
-	loss := 0.0
-	g := grid.GetMat(size, size) // ∂L/∂I, fully overwritten below
-	for i, v := range intensity.Data {
-		z := sigmoid(steep * (dose*v - th))
-		d := z - target.Data[i]
-		loss += d * d
-		g.Data[i] = 2 * d * steep * dose * z * (1 - z)
-	}
-
-	// Adjoint pass, accumulated in the frequency domain. The fields are
-	// no longer needed once q_k = g ⊙ conj(A_k) is formed, so each q_k
-	// overwrites its own field buffer in place; the k forward transforms
-	// again collapse into one batched pass. Each kernel's contribution
-	// (2w_k·H_k(-f)) ⊙ F(q_k) — the flipped spectra carry the 2w_k
-	// factor from preparation — is reduced into acc sequentially in
-	// kernel order, bit-identical to the serial accumulation.
-	// The adjoint spectra are band-limited like the forward ones, so
-	// every product adj ⊙ F(q) is zero outside p.adjLive: only the live
-	// rows of F(q_k) are ever read, which lets the forward batch run the
-	// band-limited columns-first transform (fft.Batch2DForwardBand) and
-	// skip the row transforms of every dead output row. Dead rows of the
-	// field buffers are left mid-transform; that is safe because the
-	// product and reduction loops below only touch p.adjRows and prodLive
-	// rewrites (or clears) every row on the next use of the pooled
-	// buffers. The pruning itself is exact — live rows match the dense
-	// columns-first transform bit for bit at any worker count.
-	acc := grid.GetCMat(size, size).Zero()
-	if limit > 1 {
-		parallel.Do(k, limit, func(i int) { mulRealConj(fields[i], g) })
-		fft.Batch2DForwardBand(fields, p.adjLive, limit)
-		parallel.Do(k, limit, func(i int) {
-			a := fields[i]
-			adj := p.adjoint[i]
-			for _, y := range p.adjRows {
-				ar, jr := a.Row(y), adj.Row(y)
-				for x, qv := range ar {
-					ar[x] = jr[x] * qv
-				}
-			}
-		})
-		for _, t := range fields {
-			for _, y := range p.adjRows {
-				tr, cr := t.Row(y), acc.Row(y)
-				for x, tv := range tr {
-					cr[x] += tv
-				}
-			}
-		}
-	} else {
-		for _, a := range fields {
-			mulRealConj(a, g)
-		}
-		fft.Batch2DForwardBand(fields, p.adjLive, 1)
-		for i, a := range fields {
-			adj := p.adjoint[i]
-			for _, y := range p.adjRows {
-				ar, jr, cr := a.Row(y), adj.Row(y), acc.Row(y)
-				for x, qv := range ar {
-					cr[x] += jr[x] * qv
-				}
-			}
-		}
-	}
-	fs.release()
-	fft.Inverse2DPruned(acc, p.adjLive)
-	for j := range grad.Data {
-		grad.Data[j] += weight * real(acc.Data[j])
-	}
-	grid.PutMat(intensity)
-	grid.PutMat(g)
-	grid.PutCMat(acc)
-	return weight * loss
 }
 
 // mulRealConj sets a = g ⊙ conj(a) element-wise for real g — the

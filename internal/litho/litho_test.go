@@ -62,6 +62,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nom, nom, bad); err == nil {
 		t.Fatal("expected dose-delta error")
 	}
+	bad = DefaultConfig()
+	bad.Fidelity = math.NaN()
+	if _, err := New(nom, nom, bad); err == nil {
+		t.Fatal("expected fidelity error")
+	}
 }
 
 func TestClearAndDarkField(t *testing.T) {
@@ -256,41 +261,65 @@ func TestSigmoidSaturation(t *testing.T) {
 	}
 }
 
+// TestLossGradFiniteDifference checks the adjoint gradient against
+// central finite differences of the loss on every path that computes
+// one: full fidelity on the native grid, the coarse grid (Stretch 2), a
+// truncated kernel budget, and one member of a three-pair batch.
 func TestLossGradFiniteDifference(t *testing.T) {
 	sim := testSim(t)
-	rng := rand.New(rand.NewSource(42))
-	target := centredSquare(testN, 20)
-	mask := grid.NewMat(testN, testN)
-	for i := range mask.Data {
-		mask.Data[i] = target.Data[i]*0.8 + 0.1 + 0.05*rng.Float64()
-	}
-	opts := LossOpts{Stretch: 1, PVWeight: 0.5}
-	loss, gradient := sim.LossGrad(mask, target, opts)
-	if loss <= 0 {
-		t.Fatalf("loss %v must be positive for an imperfect mask", loss)
-	}
-	const eps = 1e-5
-	checks := 0
-	for trial := 0; trial < 200 && checks < 12; trial++ {
-		y, x := rng.Intn(testN), rng.Intn(testN)
-		g := gradient.At(y, x)
-		if math.Abs(g) < 1e-4 {
-			continue // skip numerically-flat pixels
-		}
-		orig := mask.At(y, x)
-		mask.Set(y, x, orig+eps)
-		lp, _ := sim.LossGrad(mask, target, opts)
-		mask.Set(y, x, orig-eps)
-		lm, _ := sim.LossGrad(mask, target, opts)
-		mask.Set(y, x, orig)
-		fd := (lp - lm) / (2 * eps)
-		if math.Abs(fd-g) > 1e-3*(math.Abs(fd)+math.Abs(g))+1e-6 {
-			t.Fatalf("gradient mismatch at %d,%d: adjoint %v vs finite-diff %v", y, x, g, fd)
-		}
-		checks++
-	}
-	if checks < 8 {
-		t.Fatalf("only %d gradient checks ran", checks)
+	for _, tc := range []struct {
+		name  string
+		opts  LossOpts
+		batch bool // evaluate as member 1 of a LossGradBatch of three
+	}{
+		{"full", LossOpts{Stretch: 1, PVWeight: 0.5}, false},
+		{"coarse", LossOpts{Stretch: 2, PVWeight: 0.5}, false},
+		{"truncated", LossOpts{Stretch: 1, PVWeight: 0.5, Fidelity: 0.75}, false},
+		{"batch", LossOpts{Stretch: 1, PVWeight: 0.5}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			target := centredSquare(testN, 20)
+			mask := grid.NewMat(testN, testN)
+			for i := range mask.Data {
+				mask.Data[i] = target.Data[i]*0.8 + 0.1 + 0.05*rng.Float64()
+			}
+			peers := []*grid.Mat{randomMask(testN, 1), mask, randomMask(testN, 2)}
+			eval := func() (float64, *grid.Mat) {
+				if !tc.batch {
+					return sim.LossGrad(mask, target, tc.opts)
+				}
+				losses, grads := sim.LossGradBatch(peers, []*grid.Mat{target, target, target}, tc.opts)
+				return losses[1], grads[1]
+			}
+			loss, gradient := eval()
+			if loss <= 0 {
+				t.Fatalf("loss %v must be positive for an imperfect mask", loss)
+			}
+			const eps = 1e-5
+			checks := 0
+			for trial := 0; trial < 200 && checks < 12; trial++ {
+				y, x := rng.Intn(testN), rng.Intn(testN)
+				g := gradient.At(y, x)
+				if math.Abs(g) < 1e-4 {
+					continue // skip numerically-flat pixels
+				}
+				orig := mask.At(y, x)
+				mask.Set(y, x, orig+eps)
+				lp, _ := eval()
+				mask.Set(y, x, orig-eps)
+				lm, _ := eval()
+				mask.Set(y, x, orig)
+				fd := (lp - lm) / (2 * eps)
+				if math.Abs(fd-g) > 1e-3*(math.Abs(fd)+math.Abs(g))+1e-6 {
+					t.Fatalf("gradient mismatch at %d,%d: adjoint %v vs finite-diff %v", y, x, g, fd)
+				}
+				checks++
+			}
+			if checks < 8 {
+				t.Fatalf("only %d gradient checks ran", checks)
+			}
+		})
 	}
 }
 
@@ -343,6 +372,18 @@ func TestPreparedCacheIsStable(t *testing.T) {
 	p3 := sim.preparedFor(FocusDefocus, testN, 1, 1)
 	if p3 == p1 {
 		t.Fatal("focus conditions must not share cache entries")
+	}
+
+	// Out-of-range budgets, NaN included, all mean the full set: a
+	// stream of them must not grow the cache one entry per call.
+	mask := centredSquare(testN, 24)
+	entries := len(sim.cache)
+	for _, f := range []float64{math.NaN(), math.NaN(), math.Inf(1), -0.5, 2} {
+		_, g := sim.LossGrad(mask, mask, LossOpts{Stretch: 1, Fidelity: f})
+		grid.PutMat(g)
+	}
+	if n := len(sim.cache); n != entries {
+		t.Fatalf("out-of-range budgets grew the prepared cache from %d to %d entries", entries, n)
 	}
 }
 

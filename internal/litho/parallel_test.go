@@ -41,9 +41,9 @@ func randomMask(n int, seed int64) *grid.Mat {
 
 // TestParallelEquivalence is the bit-identity contract of the worker
 // pool: Aerial and LossGrad must produce exactly the same bits at any
-// worker count, because the parallel path accumulates per-kernel
-// partials into private buffers and reduces them in kernel order,
-// replaying the serial floating-point addition sequence.
+// worker count, because the fan-outs only write per-kernel or per-pair
+// buffers and each pair reduces its kernel partials in kernel order on
+// one goroutine.
 func TestParallelEquivalence(t *testing.T) {
 	prev := parallel.SetWorkers(16) // pool wide enough for every width below
 	defer parallel.SetWorkers(prev)

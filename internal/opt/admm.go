@@ -78,7 +78,7 @@ func (s *ADMM) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) {
 		// quadratic coupling term, stepped with Adam (or a plain step
 		// under Params.Plain, matching the refinement contract).
 		copy(xm.Data, x)
-		_, gm := sharedLossGrad(s.Sim, xm, target, p)
+		_, gm := s.Sim.LossGrad(xm, target, p.lossOpts())
 		for i := range gx {
 			gx[i] = gm.Data[i] + s.Rho*(x[i]-z[i]+u[i])
 		}

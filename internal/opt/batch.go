@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mgsilt/internal/grid"
-	"mgsilt/internal/litho"
 )
 
 // Fingerprinter is implemented by solvers whose configuration can be
@@ -67,27 +66,27 @@ type BatchSolver interface {
 	Solver
 	// SolveBatch solves tiles i = 0..T-1 from (targets[i], inits[i],
 	// ps[i]) and returns per-tile results and errors (outs[i] is nil
-	// exactly when errs[i] is non-nil). The lockstep fields of ps —
-	// Iters, LR, Stretch, PVWeight, Plain, Fidelity — must agree across
-	// the batch; Ctx and Freeze may differ per tile, and a tile whose
-	// context cancels drops out of the batch without disturbing the
-	// others.
+	// exactly when errs[i] is non-nil). The lockstep parameters
+	// (Params.Lockstep) must agree across the batch; Ctx and Freeze may
+	// differ per tile, and a tile whose context cancels drops out of
+	// the batch without disturbing the others.
 	SolveBatch(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat, []error)
 }
 
-// lockstepCompatible reports whether two Params can share a lockstep
-// batch.
-func lockstepCompatible(a, b Params) bool {
-	return a.Iters == b.Iters && a.LR == b.LR && a.Stretch == b.Stretch &&
-		a.PVWeight == b.PVWeight && a.Plain == b.Plain && a.Fidelity == b.Fidelity
+// SolveBatch implements BatchSolver: the Pixel descent loop run in
+// lockstep over T tiles, with every iteration's T loss-gradient
+// evaluations collapsed into one litho.LossGradBatch call. Per-tile θ,
+// Adam state, freeze handling, warmup and annealing are independent,
+// so each returned mask is bit-identical to a lone Solve of that tile.
+func (s *Pixel) SolveBatch(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat, []error) {
+	return s.solveBatch(targets, inits, ps, nil)
 }
 
-// SolveBatch implements BatchSolver: the Solve loop run in lockstep
-// over T tiles, with every iteration's T loss-gradient evaluations
-// collapsed into one litho.LossGradBatch call. Per-tile θ, Adam state,
-// freeze handling, warmup, and annealing replay Solve exactly, so each
-// returned mask is bit-identical to a lone Solve of that tile.
-func (s *Pixel) SolveBatch(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat, []error) {
+// solveBatch is the one descent loop behind Pixel and Curvy. extraGrad,
+// when non-nil, may accumulate additional ∂loss/∂M terms into each
+// tile's gm after the smoothness regulariser and before the sigmoid
+// chain rule.
+func (s *Pixel) solveBatch(targets, inits []*grid.Mat, ps []Params, extraGrad func(gm, mask *grid.Mat)) ([]*grid.Mat, []error) {
 	T := len(inits)
 	outs := make([]*grid.Mat, T)
 	errs := make([]error, T)
@@ -103,8 +102,8 @@ func (s *Pixel) SolveBatch(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat
 	if T == 0 {
 		return outs, errs
 	}
-	for i := range ps {
-		if !lockstepCompatible(ps[i], ps[0]) {
+	for i := 1; i < T; i++ {
+		if ps[i].Lockstep() != ps[0].Lockstep() {
 			return failAll(fmt.Errorf("opt: batch member %d has incompatible lockstep params", i))
 		}
 		if !inits[i].SameShape(inits[0]) {
@@ -147,6 +146,9 @@ func (s *Pixel) SolveBatch(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat
 			mask: grid.NewMat(inits[i].H, inits[i].W), adam: NewAdam(n),
 		}
 		for j, v := range inits[i].Data {
+			// Lift dead-zero pixels to the background bias so they keep
+			// a usable gradient — except frozen pixels, which must
+			// reproduce their boundary data exactly.
 			if v < bias && (st.p.Freeze == nil || st.p.Freeze.Data[j] < 0.5) {
 				v = bias
 			}
@@ -181,11 +183,14 @@ func (s *Pixel) SolveBatch(targets, inits []*grid.Mat, ps []Params) ([]*grid.Mat
 			masks = append(masks, st.mask)
 			tgts = append(tgts, st.target)
 		}
-		_, gms := s.Sim.LossGradBatch(masks, tgts, litho.LossOpts{Stretch: p0.Stretch, PVWeight: p0.PVWeight, Fidelity: p0.Fidelity})
+		_, gms := s.Sim.LossGradBatch(masks, tgts, p0.lossOpts())
 		for bi, st := range active {
 			gm := gms[bi]
 			if s.SmoothWeight > 0 {
 				addLaplacian(gm, st.mask, s.SmoothWeight)
+			}
+			if extraGrad != nil {
+				extraGrad(gm, st.mask)
 			}
 			for j := range st.dTheta {
 				m := st.mask.Data[j]

@@ -61,11 +61,11 @@ func (s *Curvy) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) {
 			gm.Data[i] -= s.CurvWeight * curv.Data[i] * gradMag.Data[i]
 		}
 	}
-	mask, err := s.Pixel.solve(target, init, p, extra)
-	if err != nil {
-		return nil, err
+	masks, errs := s.Pixel.solveBatch([]*grid.Mat{target}, []*grid.Mat{init}, []Params{p}, extra)
+	if errs[0] != nil {
+		return nil, errs[0]
 	}
-	out := s.Legalize(mask)
+	out := s.Legalize(masks[0])
 	restoreFrozen(out, init, p.Freeze)
 	return out, nil
 }

@@ -57,7 +57,7 @@ func (s *LevelSet) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) {
 			return nil, err
 		}
 		s.heaviside(phi, mask)
-		_, gm := sharedLossGrad(s.Sim, mask, target, p)
+		_, gm := s.Sim.LossGrad(mask, target, p.lossOpts())
 		gradMag := filter.GradientMagnitude(phi)
 		curv := filter.Curvature(phi)
 		for i := range phi.Data {

@@ -69,6 +69,15 @@ func (p Params) Interrupted() error {
 	return p.Ctx.Err()
 }
 
+// Lockstep returns the parameters every member of a lockstep batch
+// must share: p with the per-tile fields Ctx and Freeze cleared. Two
+// solves may share a batch exactly when their Lockstep values are ==,
+// so a new Params field joins the lockstep rule without further edits.
+func (p Params) Lockstep() Params {
+	p.Ctx, p.Freeze = nil, nil
+	return p
+}
+
 // maskFrozen zeroes gradient entries at frozen pixels.
 func maskFrozen(gradient []float64, freeze *grid.Mat) {
 	if freeze == nil {
@@ -99,16 +108,17 @@ func (p Params) validate() error {
 	if p.Iters < 0 {
 		return fmt.Errorf("opt: negative iteration count %d", p.Iters)
 	}
-	if p.LR <= 0 {
-		return fmt.Errorf("opt: learning rate %v must be positive", p.LR)
+	// The comparisons are written so NaN fails them.
+	if !(p.LR > 0) || math.IsInf(p.LR, 1) {
+		return fmt.Errorf("opt: learning rate %v must be positive and finite", p.LR)
 	}
 	if p.Stretch < 1 {
 		return fmt.Errorf("opt: stretch %d must be >= 1", p.Stretch)
 	}
-	if p.PVWeight < 0 {
-		return fmt.Errorf("opt: negative PV weight %v", p.PVWeight)
+	if !(p.PVWeight >= 0) || math.IsInf(p.PVWeight, 1) {
+		return fmt.Errorf("opt: PV weight %v must be non-negative and finite", p.PVWeight)
 	}
-	if p.Fidelity < 0 || p.Fidelity > 1 {
+	if !(p.Fidelity >= 0 && p.Fidelity <= 1) {
 		return fmt.Errorf("opt: fidelity %v out of [0,1]", p.Fidelity)
 	}
 	return nil
@@ -198,7 +208,7 @@ func logit(x, lo float64) float64 {
 	return math.Log(x / (1 - x))
 }
 
-// sharedLossGrad evaluates the litho objective for a solver.
-func sharedLossGrad(sim *litho.Simulator, mask, target *grid.Mat, p Params) (float64, *grid.Mat) {
-	return sim.LossGrad(mask, target, litho.LossOpts{Stretch: p.Stretch, PVWeight: p.PVWeight, Fidelity: p.Fidelity})
+// lossOpts maps the solve parameters onto the litho objective's.
+func (p Params) lossOpts() litho.LossOpts {
+	return litho.LossOpts{Stretch: p.Stretch, PVWeight: p.PVWeight, Fidelity: p.Fidelity}
 }

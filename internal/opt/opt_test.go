@@ -62,6 +62,12 @@ func TestParamsValidate(t *testing.T) {
 		{Iters: 1, LR: 0, Stretch: 1},
 		{Iters: 1, LR: 0.1, Stretch: 0},
 		{Iters: 1, LR: 0.1, Stretch: 1, PVWeight: -1},
+		{Iters: 1, LR: math.NaN(), Stretch: 1},
+		{Iters: 1, LR: math.Inf(1), Stretch: 1},
+		{Iters: 1, LR: 0.1, Stretch: 1, PVWeight: math.NaN()},
+		{Iters: 1, LR: 0.1, Stretch: 1, PVWeight: math.Inf(1)},
+		{Iters: 1, LR: 0.1, Stretch: 1, Fidelity: math.NaN()},
+		{Iters: 1, LR: 0.1, Stretch: 1, Fidelity: math.Inf(-1)},
 	}
 	for i, p := range bad {
 		if err := p.validate(); err == nil {

@@ -54,84 +54,10 @@ func init() {
 // Name implements Solver.
 func (s *Pixel) Name() string { return "pixel-ilt" }
 
-// Solve implements Solver.
+// Solve implements Solver: SolveBatch for a batch of one.
 func (s *Pixel) Solve(target, init *grid.Mat, p Params) (*grid.Mat, error) {
-	return s.solve(target, init, p, nil)
-}
-
-// solve is the shared descent loop behind Pixel and Curvy. extraGrad,
-// when non-nil, may accumulate additional ∂loss/∂M terms into gm after
-// the smoothness regulariser and before the sigmoid chain rule; a nil
-// hook leaves the loop byte-for-byte the historical Pixel solve.
-func (s *Pixel) solve(target, init *grid.Mat, p Params, extraGrad func(gm, mask *grid.Mat)) (*grid.Mat, error) {
-	if err := p.validateFor(init); err != nil {
-		return nil, err
-	}
-	n := len(init.Data)
-	theta := make([]float64, n)
-	bias := s.BackgroundBias
-	if bias <= 0 {
-		bias = 1e-3
-	}
-	for i, v := range init.Data {
-		// Lift dead-zero pixels to the background bias so they keep a
-		// usable gradient — except frozen pixels, which must reproduce
-		// their boundary data exactly.
-		if v < bias && (p.Freeze == nil || p.Freeze.Data[i] < 0.5) {
-			v = bias
-		}
-		theta[i] = logit(v, 1e-4) / s.Slope
-	}
-
-	mask := grid.NewMat(init.H, init.W)
-	dTheta := make([]float64, n)
-	adam := NewAdam(n)
-	slopeAt := func(it int) float64 {
-		if s.FinalSlope <= s.Slope || p.Iters <= 1 {
-			return s.Slope
-		}
-		return s.Slope + (s.FinalSlope-s.Slope)*float64(it)/float64(p.Iters-1)
-	}
-	for it := 0; it < p.Iters; it++ {
-		if err := p.Interrupted(); err != nil {
-			return nil, err
-		}
-		slope := slopeAt(it)
-		for i, t := range theta {
-			mask.Data[i] = sigmoidAt(slope * t)
-		}
-		_, gm := sharedLossGrad(s.Sim, mask, target, p)
-		if s.SmoothWeight > 0 {
-			addLaplacian(gm, mask, s.SmoothWeight)
-		}
-		if extraGrad != nil {
-			extraGrad(gm, mask)
-		}
-		for i := range dTheta {
-			m := mask.Data[i]
-			dTheta[i] = gm.Data[i] * slope * m * (1 - m)
-		}
-		grid.PutMat(gm) // LossGrad hands over a pooled matrix
-		maskFrozen(dTheta, p.Freeze)
-		lr := p.LR
-		if w := s.WarmupIters; w > 0 && it < w {
-			lr *= float64(it+1) / float64(w+1)
-		}
-		if p.Plain {
-			plainStep(theta, dTheta, p.LR)
-		} else {
-			adam.Step(theta, dTheta, lr)
-		}
-	}
-	finalSlope := slopeAt(p.Iters - 1)
-	if p.Iters == 0 {
-		finalSlope = s.Slope
-	}
-	for i, t := range theta {
-		mask.Data[i] = sigmoidAt(finalSlope * t)
-	}
-	restoreFrozen(mask, init, p.Freeze)
-	return mask, nil
+	outs, errs := s.SolveBatch([]*grid.Mat{target}, []*grid.Mat{init}, []Params{p})
+	return outs[0], errs[0]
 }
 
 // addLaplacian accumulates the gradient of the smoothness energy

@@ -47,15 +47,12 @@ type Stats struct {
 
 // class identifies requests that may share a lockstep batch: same
 // solver/optics configuration (the caller-supplied fingerprint key),
-// same geometry, and same lockstep solve parameters. Ctx and Freeze
-// are per-tile and deliberately absent.
+// same geometry, and same lockstep solve parameters (opt.Params
+// .Lockstep, which clears the per-tile Ctx and Freeze).
 type class struct {
-	key            string
-	h, w           int
-	iters, stretch int
-	lr, pv         float64
-	plain          bool
-	fidelity       float64
+	key  string
+	h, w int
+	p    opt.Params
 }
 
 // request is one tile solve waiting for its batch.
@@ -118,11 +115,7 @@ func (b *Batcher) Solve(classKey string, solver opt.BatchSolver, target, init *g
 	if b == nil || b.size < 2 {
 		return solver.Solve(target, init, p)
 	}
-	cls := class{
-		key: classKey, h: init.H, w: init.W,
-		iters: p.Iters, stretch: p.Stretch, lr: p.LR, pv: p.PVWeight, plain: p.Plain,
-		fidelity: p.Fidelity,
-	}
+	cls := class{key: classKey, h: init.H, w: init.W, p: p.Lockstep()}
 	req := &request{target: target, init: init, p: p, done: make(chan struct{})}
 
 	b.mu.Lock()

@@ -218,6 +218,9 @@ func fbits(v float64) string {
 	return fmt.Sprintf("%016x", math.Float64bits(v))
 }
 
+// parseFbits decodes a solve parameter. Non-finite values are rejected
+// here, before they reach a solver: a NaN budget, for one, would
+// otherwise key a fresh simulator cache entry on every evaluation.
 func parseFbits(s string) (float64, error) {
 	if len(s) != 16 {
 		return 0, fmt.Errorf("shard: bad float bits %q", s)
@@ -226,7 +229,11 @@ func parseFbits(s string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("shard: bad float bits %q", s)
 	}
-	return math.Float64frombits(u), nil
+	v := math.Float64frombits(u)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("shard: non-finite parameter %v", v)
+	}
+	return v, nil
 }
 
 func boolInt(b bool) int {

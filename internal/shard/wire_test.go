@@ -243,6 +243,9 @@ func TestWireRejectsCorruption(t *testing.T) {
 		{"run out of bounds", strings.Replace(g, "run 2 3 1", "run 2 7 5", 1)},
 		{"run bomb", strings.Replace(g, "init patch 8 8 2", "init patch 8 8 9999", 1)},
 		{"bad float bits", strings.Replace(g, fbits(0.4), "zz", 1)},
+		{"NaN learning rate", strings.Replace(g, fbits(0.4), fbits(math.NaN()), 1)},
+		{"infinite PV weight", strings.Replace(g, fbits(0.1), fbits(math.Inf(1)), 1)},
+		{"NaN fidelity", strings.Replace(g, fbits(0.9), fbits(math.NaN()), 1)},
 		{"missing end", strings.Replace(g, "end\n", "", 1)},
 	}
 	for _, tc := range cases {
