@@ -15,7 +15,12 @@
 //     (calib_ns) so a committed baseline remains meaningful on a
 //     differently-sized CI runner; -abs-tat compares raw seconds
 //     instead.
-//   - Provenance (scale, optics, worker count) must match exactly, or
+//   - Gauges (allocations, cache hit rate, convergence): each may move
+//     the wrong way by at most its absolute slack, per the policy table
+//     in internal/benchfmt; a gauge is checked when both documents
+//     carry it.
+//   - Provenance (every key of either document's provenance map, an
+//     absent key reading as its default) must match exactly, or
 //     benchdiff refuses the comparison (exit 2) rather than produce a
 //     meaningless verdict.
 //

@@ -37,6 +37,7 @@ import (
 	"os/exec"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -94,27 +95,26 @@ func main() {
 		env.Solver = *solverSel
 	}
 
+	solver := *solverSel
+	if solver == "" {
+		solver = opt.DefaultSolver
+	}
 	doc := benchfmt.Doc{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       scale.Name,
-		N:           scale.N,
-		Clip:        scale.Clip,
-		Cases:       scale.Cases,
-		Iters:       scale.Iters,
-		Workers:     parallel.Workers(),
-		Kernels:     env.KernelProvenance(),
 		GitDescribe: gitDescribe(),
-	}
-	// The bench harness always runs its flows in-process, which is
-	// shard count 1 by definition; recording it explicitly keeps these
-	// documents comparable with (and only with) future unsharded runs.
-	shardCount := 1
-	doc.ShardCount = &shardCount
-	// Solver provenance is tri-state: untouched runs leave it nil
-	// (≡ "pixel"), keeping documents comparable with pre-registry
-	// baselines; an explicit -solver pins the document to that backend.
-	if *solverSel != "" {
-		doc.Solver = solverSel
+		Provenance: map[string]string{
+			"scale":   scale.Name,
+			"n":       strconv.Itoa(scale.N),
+			"clip":    strconv.Itoa(scale.Clip),
+			"cases":   strconv.Itoa(scale.Cases),
+			"iters":   strconv.Itoa(scale.Iters),
+			"workers": strconv.Itoa(parallel.Workers()),
+			"kernels": env.KernelProvenance(),
+			// The bench harness always runs its flows in-process.
+			"shard_count": "1",
+			"solver":      solver,
+		},
+		Gauges: map[string]float64{},
 	}
 	if *jsonPath != "" {
 		// Calibrate before running experiments so the measurement is
@@ -122,8 +122,7 @@ func main() {
 		// allocation count while the heap is equally quiet. Both happen
 		// before CPU profiling starts so neither pollutes the profile.
 		doc.CalibNS = benchfmt.Calibrate()
-		allocs := env.MeasureLossGradAllocs()
-		doc.LossGradAllocs = &allocs
+		doc.Gauges["lossgrad_allocs_per_op"] = env.MeasureLossGradAllocs()
 	}
 
 	if *cpuProfile != "" {
@@ -220,22 +219,15 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			if *jsonPath != "" {
-				hr := res.WarmHitRate()
-				doc.CacheHitRate = &hr
-			}
+			doc.Gauges["cache_hit_rate"] = res.WarmHitRate()
 			emit(name, "Serving: shared tile cache, cold vs warm", res.Render(), nil)
 		case "scaling":
 			res, err := env.RunScaling(progress)
 			if err != nil {
 				fatal(err)
 			}
-			if *jsonPath != "" {
-				itq := res.IterationsToQuality()
-				doc.IterationsToQuality = &itq
-				dr := res.DroppedRate()
-				doc.TilesDroppedRate = &dr
-			}
+			doc.Gauges["iterations_to_quality"] = res.IterationsToQuality()
+			doc.Gauges["tiles_dropped_rate"] = res.DroppedRate()
 			emit(name, "Scaling: two-level vs one-level Schwarz by tile count", res.Render(), nil)
 		case "fidelity":
 			res, err := env.RunFidelity(progress)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"mgsilt/internal/cache"
@@ -26,7 +25,6 @@ import (
 	"mgsilt/internal/fault"
 	"mgsilt/internal/grid"
 	"mgsilt/internal/imgio"
-	"mgsilt/internal/kernels"
 	"mgsilt/internal/layout"
 	"mgsilt/internal/litho"
 	"mgsilt/internal/metrics"
@@ -95,16 +93,7 @@ func main() {
 		parallel.SetWorkers(*workers)
 	}
 
-	kc := kernels.DefaultConfig(*n)
-	nom, err := kernels.Generate(kc)
-	if err != nil {
-		fatal(err)
-	}
-	def, err := kernels.Defocused(kc, 0.8)
-	if err != nil {
-		fatal(err)
-	}
-	sim, err := litho.New(nom, def, litho.DefaultConfig())
+	sim, err := litho.NewDefault(*n)
 	if err != nil {
 		fatal(err)
 	}
@@ -203,11 +192,8 @@ func main() {
 	if *fineStg > 0 {
 		cfg.FineStages = *fineStg
 	}
-	if *fidelity != "" {
-		cfg.FidelitySchedule, err = parseSchedule(*fidelity)
-		if err != nil {
-			fatal(err)
-		}
+	if cfg.FidelitySchedule, err = core.ParseFidelitySchedule(*fidelity); err != nil {
+		fatal(err)
 	}
 	chaos := *faultRate > 0 || *faultHard > 0
 	if chaos {
@@ -370,21 +356,6 @@ func readCheckpointFile(path string) (*core.Checkpoint, error) {
 	}
 	defer f.Close()
 	return pipeline.ReadCheckpoint(f)
-}
-
-// parseSchedule parses a -fidelity flag value: comma-separated
-// per-fine-stage kernel energy budgets. Range and length validation is
-// core.Config.Validate's job; this only requires well-formed floats.
-func parseSchedule(s string) ([]float64, error) {
-	var sched []float64
-	for _, tok := range strings.Split(s, ",") {
-		f, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-		if err != nil {
-			return nil, fmt.Errorf("fidelity schedule %q: %w", s, err)
-		}
-		sched = append(sched, f)
-	}
-	return sched, nil
 }
 
 func fatal(err error) {

@@ -28,11 +28,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
+	"mgsilt/internal/core"
 	"mgsilt/internal/opt"
 	"mgsilt/internal/service"
 )
@@ -69,15 +69,9 @@ func main() {
 	if *shardURLs != "" {
 		shardWorkers = strings.Split(*shardURLs, ",")
 	}
-	var fidSched []float64
-	if *fidelity != "" {
-		for _, tok := range strings.Split(*fidelity, ",") {
-			f, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-			if err != nil {
-				fatal(fmt.Errorf("fidelity schedule %q: %w", *fidelity, err))
-			}
-			fidSched = append(fidSched, f)
-		}
+	fidSched, err := core.ParseFidelitySchedule(*fidelity)
+	if err != nil {
+		fatal(err)
 	}
 
 	srv, err := service.New(service.Options{

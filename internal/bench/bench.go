@@ -72,16 +72,7 @@ type Env struct {
 
 // NewEnv builds the optics and the clip suite for a scale.
 func NewEnv(sc Scale) (*Env, error) {
-	kc := kernels.DefaultConfig(sc.N)
-	nom, err := kernels.Generate(kc)
-	if err != nil {
-		return nil, err
-	}
-	def, err := kernels.Defocused(kc, 0.8)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := litho.New(nom, def, litho.DefaultConfig())
+	sim, err := litho.NewDefault(sc.N)
 	if err != nil {
 		return nil, err
 	}
@@ -93,10 +84,11 @@ func NewEnv(sc Scale) (*Env, error) {
 }
 
 // KernelProvenance describes the optics the environment was built
-// with: the nominal kernel configuration plus the hardcoded defocus
-// condition NewEnv applies for PV-band evaluation. Benchmark documents
-// embed it so the regression gate never compares runs that exercised
-// different optics.
+// with: the nominal kernel configuration plus the 0.8 defocus
+// condition litho.NewDefault applies for PV-band evaluation. Benchmark
+// documents embed it so the regression gate never compares runs that
+// exercised different optics; the string must stay byte-identical to
+// the committed baseline's.
 func (e *Env) KernelProvenance() string {
 	return kernels.DefaultConfig(e.Scale.N).Provenance() + ";defocus=0.8"
 }

@@ -2,13 +2,15 @@
 // document written by `cmd/iltbench -json` and consumed by
 // `cmd/benchdiff` — the contract behind the bench-regression CI gate.
 //
-// A Doc carries three groups of data:
+// A Doc carries four groups of data:
 //
-//   - Provenance: experiment scale, kernel-set description, compute
-//     pool width, and the git describe string of the producing tree.
-//     benchdiff refuses to compare documents whose provenance differs,
-//     so the gate can never diff incomparable runs (different scales,
-//     optics, or worker counts).
+//   - Provenance: a map of labels for what the run measured (scale,
+//     optics, compute pool width, shard count, solver, ...). benchdiff
+//     refuses to compare documents whose provenance differs, so the
+//     gate can never diff incomparable runs.
+//   - Gauges: a map of gated scalar measurements (allocations, cache
+//     hit rate, convergence). Their directions and slacks live in the
+//     gauges policy table in this package, not in the documents.
 //   - Calibration: CalibNS is the wall time of a fixed, self-contained
 //     floating-point reference workload measured by the producing
 //     host (see Calibrate). Dividing measured TATs by it removes the
@@ -26,6 +28,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
+	"strconv"
 	"time"
 
 	"mgsilt/internal/report"
@@ -53,18 +57,6 @@ type Experiment struct {
 // Doc is the trajectory document (BENCH_*.json).
 type Doc struct {
 	GeneratedAt string `json:"generated_at"`
-	Scale       string `json:"scale"`
-	N           int    `json:"n"`
-	Clip        int    `json:"clip"`
-	Cases       int    `json:"cases"`
-	Iters       int    `json:"iters"`
-	// Workers is the compute pool width the run used (kernel-level
-	// convolution and FFT fan-out). TATs at different widths are not
-	// comparable, so benchdiff treats a mismatch as incomparable.
-	Workers int `json:"workers"`
-	// Kernels is the kernel-set provenance string (optics geometry +
-	// defocus); runs on different optics exercise different work.
-	Kernels string `json:"kernels"`
 	// GitDescribe identifies the producing tree (git describe
 	// --always --dirty), recorded for artifact forensics only.
 	GitDescribe string `json:"git_describe,omitempty"`
@@ -72,64 +64,71 @@ type Doc struct {
 	// 0 means the producer did not calibrate and only absolute TAT
 	// comparison is possible.
 	CalibNS int64 `json:"calib_ns,omitempty"`
-	// LossGradAllocs is the steady-state heap allocations per serial
-	// LossGrad evaluation on the producing host (pools warm, workers
-	// pinned to 1). It is a pointer so the field is tri-state: nil means
-	// the producer predates the measurement (older documents stay
-	// valid), while a recorded 0 — the engine's target — survives
-	// marshalling. Unlike TAT it needs no host calibration: allocation
-	// counts are deterministic per code version.
-	LossGradAllocs *float64 `json:"lossgrad_allocs_per_op,omitempty"`
-	// CacheHitRate is the warm-run tile-cache hit rate (0..1) of the
-	// serving cache experiment: the fraction of tile solves a second,
-	// identical run answers from the content-addressed cache. Tri-state
-	// like LossGradAllocs — nil means the producer predates the tile
-	// cache. The experiment is deterministic per code version, so a drop
-	// means cache keys started splitting, not that a run got unlucky.
-	CacheHitRate *float64 `json:"cache_hit_rate,omitempty"`
-	// ShardCount is the tile-shard worker count the run's flows fanned
-	// out over (provenance, like Workers): 1 is the in-process path.
-	// Tri-state like LossGradAllocs — nil means the producer predates
-	// distributed sharding and is comparable only with an unsharded
-	// (nil or 1) run. TATs measured at different shard counts are not
-	// comparable, so benchdiff treats any other mismatch as
-	// incomparable rather than as a regression.
-	ShardCount *int `json:"shard_count,omitempty"`
-	// Solver is the opt registry name the run's "Ours" flow rows solved
-	// tiles with (provenance, like Workers). Tri-state like ShardCount
-	// — nil means the producer predates the solver registry and is
-	// comparable only with a nil or "pixel" run; metrics measured with
-	// different solver backends are different experiments, so any other
-	// mismatch is incomparable rather than a regression.
-	Solver *string `json:"solver,omitempty"`
-	// IterationsToQuality is the scaling experiment's headline number:
-	// solver iterations the two-level (coarse-corrected) Schwarz flow
-	// needs to reach the fixed quality bar at the largest (8×8) tile
-	// grid. Tri-state like LossGradAllocs — nil means the producer
-	// predates the scaling experiment. The sweep is deterministic per
-	// code version, so growth means the coarse space got weaker, not
-	// that a run got unlucky.
-	IterationsToQuality *float64 `json:"iterations_to_quality,omitempty"`
-	// TilesDroppedRate is the fraction (0..1) of fine-stage tile solves
-	// the convergence-dropout phase of the scaling experiment skipped.
-	// Tri-state like IterationsToQuality; a drop means tiles stopped
-	// reaching the DropTol criterion, i.e. per-tile convergence got
-	// slower.
-	TilesDroppedRate *float64 `json:"tiles_dropped_rate,omitempty"`
-	// FidelitySchedule is the progressive-fidelity schedule the run's
-	// table1 flows executed under (core.Config.FidelitySchedule;
-	// provenance, like Workers). Tri-state: nil or empty means full
-	// fidelity — documents predating the schedule stay comparable with
-	// full-fidelity runs, as does an explicit all-ones schedule. TATs
-	// measured under different schedules exercise different kernel
-	// counts and are not comparable, so benchdiff treats any other
-	// mismatch as incomparable rather than as a regression.
-	FidelitySchedule []float64    `json:"fidelity_schedule,omitempty"`
-	Experiments      []Experiment `json:"experiments"`
+	// Provenance describes what the run measured: scale, n, clip,
+	// cases, iters, workers (compute pool width), kernels (optics),
+	// shard_count and solver. Values are opaque labels; Compare refuses
+	// documents whose provenance differs, reading an absent key as its
+	// provenanceDefaults entry.
+	Provenance map[string]string `json:"provenance,omitempty"`
+	// Gauges are the gated scalar measurements, keyed by the names in
+	// the gauges policy table.
+	Gauges      map[string]float64 `json:"gauges,omitempty"`
+	Experiments []Experiment       `json:"experiments"`
 }
 
-// WriteFile marshals the document with stable indentation.
+// gauge is one row of the gate policy for Doc.Gauges. Every gauge is
+// deterministic per code version, so its tolerance is an absolute
+// slack rather than a relative threshold: a baseline of 0 stays 0.
+type gauge struct {
+	name                       string  // key in Doc.Gauges
+	higherIsBetter             bool    // a drop, not a rise, regresses
+	slack                      float64 // tolerated move the wrong way
+	max                        float64 // largest valid value
+	experiment, method, metric string  // Finding labels
+}
+
+// gauges is the gate policy, in report order. It lives in code, where
+// review sees it; documents carry only measurements. A gauge is
+// compared only when both documents carry it, so documents predating
+// a gauge stay comparable.
+var gauges = []gauge{
+	// Steady-state heap allocations per serial LossGrad evaluation
+	// (pools warm, one worker); the slack absorbs pool warm-up jitter.
+	{"lossgrad_allocs_per_op", false, 0.5, math.Inf(1), "hotpath", "LossGrad", "allocs/op"},
+	// Warm-run hit rate of the cache experiment's tile cache; a drop
+	// means cache keys started splitting.
+	{"cache_hit_rate", true, 0.02, 1, "cache", "TileCache", "hit-rate"},
+	// Iterations the two-level Schwarz flow of the scaling experiment
+	// needs to reach its quality bar at 8×8 tiles; the slack is one
+	// fine stage's budget, absorbing quantisation at stage boundaries.
+	{"iterations_to_quality", false, 4, math.Inf(1), "scaling", "TwoLevel", "iters-to-quality"},
+	// Fraction of fine-stage tile solves the scaling experiment's
+	// dropout phase skipped; a drop means per-tile convergence slowed.
+	{"tiles_dropped_rate", true, 0.02, 1, "scaling", "Dropout", "dropped-rate"},
+}
+
+// provenanceDefaults is what an absent provenance key reads as; keys
+// not listed read as "". It keeps documents that predate a key
+// comparable with runs that record the key's default.
+var provenanceDefaults = map[string]string{
+	"shard_count": "1",     // in-process
+	"solver":      "pixel", // opt.DefaultSolver
+}
+
+// provenance returns the value of key, or its default when absent.
+func (d *Doc) provenance(key string) string {
+	if v, ok := d.Provenance[key]; ok {
+		return v
+	}
+	return provenanceDefaults[key]
+}
+
+// WriteFile validates the document and marshals it with stable
+// indentation.
 func (d *Doc) WriteFile(path string) error {
+	if err := d.Validate(); err != nil {
+		return err
+	}
 	data, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		return err
@@ -141,11 +140,17 @@ func (d *Doc) WriteFile(path string) error {
 // It is the single entry point for untrusted input (ReadFile routes
 // through it, and the fuzz harness attacks it directly), so any
 // document it accepts is safe to hand to Compare and the report
-// renderers.
+// renderers. A document with neither provenance nor gauges is read in
+// the legacy shape (see legacyDoc).
 func Parse(data []byte) (*Doc, error) {
 	var d Doc
 	if err := json.Unmarshal(data, &d); err != nil {
 		return nil, fmt.Errorf("benchfmt: %w", err)
+	}
+	if d.Provenance == nil && d.Gauges == nil {
+		if err := d.readLegacy(data); err != nil {
+			return nil, err
+		}
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -153,39 +158,95 @@ func Parse(data []byte) (*Doc, error) {
 	return &d, nil
 }
 
+// legacyDoc is the document shape before Provenance and Gauges, when
+// each provenance key and gauge was its own top-level field. Parse
+// still reads it, so committed baselines of that shape keep gating;
+// WriteFile never writes it.
+type legacyDoc struct {
+	Scale      string  `json:"scale"`
+	Kernels    string  `json:"kernels"`
+	Solver     *string `json:"solver"`
+	N          *int    `json:"n"`
+	Clip       *int    `json:"clip"`
+	Cases      *int    `json:"cases"`
+	Iters      *int    `json:"iters"`
+	Workers    *int    `json:"workers"`
+	ShardCount *int    `json:"shard_count"`
+
+	LossGradAllocs      *float64 `json:"lossgrad_allocs_per_op"`
+	CacheHitRate        *float64 `json:"cache_hit_rate"`
+	IterationsToQuality *float64 `json:"iterations_to_quality"`
+	TilesDroppedRate    *float64 `json:"tiles_dropped_rate"`
+}
+
+// readLegacy fills d's maps from the legacy top-level fields in data,
+// keeping the legacy rejections: negative counts, a shard count below
+// 1 and (through Validate) a present but empty solver.
+func (d *Doc) readLegacy(data []byte) error {
+	var old legacyDoc
+	if err := json.Unmarshal(data, &old); err != nil {
+		return fmt.Errorf("benchfmt: %w", err)
+	}
+	d.Provenance, d.Gauges = map[string]string{}, map[string]float64{}
+	for _, c := range []struct {
+		key string
+		v   *int
+		min int
+	}{
+		{"n", old.N, 0}, {"clip", old.Clip, 0}, {"cases", old.Cases, 0},
+		{"iters", old.Iters, 0}, {"workers", old.Workers, 0}, {"shard_count", old.ShardCount, 1},
+	} {
+		if c.v == nil {
+			continue
+		}
+		if *c.v < c.min {
+			return fmt.Errorf("benchfmt: %s %d must be >= %d", c.key, *c.v, c.min)
+		}
+		d.Provenance[c.key] = strconv.Itoa(*c.v)
+	}
+	// An empty scale or kernels string meant "absent"; an empty solver
+	// was an error, so it is kept for Validate to reject.
+	for key, v := range map[string]string{"scale": old.Scale, "kernels": old.Kernels} {
+		if v != "" {
+			d.Provenance[key] = v
+		}
+	}
+	if old.Solver != nil {
+		d.Provenance["solver"] = *old.Solver
+	}
+	for name, v := range map[string]*float64{
+		"lossgrad_allocs_per_op": old.LossGradAllocs,
+		"cache_hit_rate":         old.CacheHitRate,
+		"iterations_to_quality":  old.IterationsToQuality,
+		"tiles_dropped_rate":     old.TilesDroppedRate,
+	} {
+		if v != nil {
+			d.Gauges[name] = *v
+		}
+	}
+	return nil
+}
+
 // Validate checks the structural invariants every trajectory document
-// must satisfy: non-negative provenance counts and calibration, finite
-// non-negative metrics, named experiments/methods, and table rows as
-// wide as their headers.
+// must satisfy: non-negative calibration, non-empty provenance values,
+// known gauges within their policy range, finite non-negative metrics,
+// named experiments/methods, and table rows as wide as their headers.
 func (d *Doc) Validate() error {
-	switch {
-	case d.N < 0 || d.Clip < 0 || d.Cases < 0 || d.Iters < 0 || d.Workers < 0:
-		return fmt.Errorf("benchfmt: negative provenance count (n=%d clip=%d cases=%d iters=%d workers=%d)",
-			d.N, d.Clip, d.Cases, d.Iters, d.Workers)
-	case d.CalibNS < 0:
+	if d.CalibNS < 0 {
 		return fmt.Errorf("benchfmt: negative calibration %d ns", d.CalibNS)
 	}
-	if a := d.LossGradAllocs; a != nil && (math.IsNaN(*a) || math.IsInf(*a, 0) || *a < 0) {
-		return fmt.Errorf("benchfmt: invalid lossgrad_allocs_per_op %v", *a)
+	for key, v := range d.Provenance {
+		if v == "" {
+			return fmt.Errorf("benchfmt: provenance %s present but empty (omit the key for the default)", key)
+		}
 	}
-	if h := d.CacheHitRate; h != nil && (math.IsNaN(*h) || *h < 0 || *h > 1) {
-		return fmt.Errorf("benchfmt: cache_hit_rate %v outside [0,1]", *h)
-	}
-	if s := d.ShardCount; s != nil && *s < 1 {
-		return fmt.Errorf("benchfmt: shard_count %d must be >= 1", *s)
-	}
-	if s := d.Solver; s != nil && *s == "" {
-		return fmt.Errorf("benchfmt: solver present but empty (omit the field for the default)")
-	}
-	if q := d.IterationsToQuality; q != nil && (math.IsNaN(*q) || math.IsInf(*q, 0) || *q < 0) {
-		return fmt.Errorf("benchfmt: invalid iterations_to_quality %v", *q)
-	}
-	if r := d.TilesDroppedRate; r != nil && (math.IsNaN(*r) || *r < 0 || *r > 1) {
-		return fmt.Errorf("benchfmt: tiles_dropped_rate %v outside [0,1]", *r)
-	}
-	for i, f := range d.FidelitySchedule {
-		if math.IsNaN(f) || f <= 0 || f > 1 {
-			return fmt.Errorf("benchfmt: fidelity_schedule[%d] = %v outside (0,1]", i, f)
+	for name, v := range d.Gauges {
+		i := slices.IndexFunc(gauges, func(g gauge) bool { return g.name == name })
+		switch {
+		case i < 0:
+			return fmt.Errorf("benchfmt: unknown gauge %q", name)
+		case math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > gauges[i].max:
+			return fmt.Errorf("benchfmt: gauge %s = %v outside [0, %v]", name, v, gauges[i].max)
 		}
 	}
 	for i := range d.Experiments {
@@ -312,63 +373,27 @@ type Result struct {
 // OK reports whether the gate passes.
 func (r *Result) OK() bool { return len(r.Regressions) == 0 }
 
-// incomparable builds the provenance-mismatch error.
-func incomparable(field string, base, cur any) error {
-	return fmt.Errorf("benchfmt: incomparable runs: %s differs (baseline %v, current %v)", field, base, cur)
-}
-
 // Compare gates cur against base: any growth of L2 / PVBand / Stitch
-// beyond QualityEps, or TAT growth beyond TATThreshold (calibration-
-// normalised unless AbsoluteTAT), is a regression. Documents with
-// mismatched provenance (scale, optics geometry, worker count) return
-// an error instead of a verdict; a method present in the baseline but
-// missing from the current run does too.
+// beyond QualityEps, TAT growth beyond TATThreshold (calibration-
+// normalised unless AbsoluteTAT), or a gauge moving the wrong way by
+// more than its slack is a regression. Documents with mismatched
+// provenance return an error instead of a verdict; a method present in
+// the baseline but missing from the current run does too.
 func Compare(base, cur *Doc, opts CompareOptions) (*Result, error) {
 	opts = opts.withDefaults()
-	switch {
-	case base.Scale != cur.Scale:
-		return nil, incomparable("scale", base.Scale, cur.Scale)
-	case base.N != cur.N:
-		return nil, incomparable("n", base.N, cur.N)
-	case base.Clip != cur.Clip:
-		return nil, incomparable("clip", base.Clip, cur.Clip)
-	case base.Cases != cur.Cases:
-		return nil, incomparable("cases", base.Cases, cur.Cases)
-	case base.Iters != cur.Iters:
-		return nil, incomparable("iters", base.Iters, cur.Iters)
-	case base.Kernels != cur.Kernels:
-		return nil, incomparable("kernels", base.Kernels, cur.Kernels)
-	case base.Workers != cur.Workers:
-		return nil, incomparable("workers", base.Workers, cur.Workers)
-	}
-	// Shard-count provenance: tri-state, so a nil (pre-sharding)
-	// document is equivalent to the in-process shard count of 1.
-	shardOf := func(d *Doc) int {
-		if d.ShardCount == nil {
-			return 1
+	var keys []string
+	for _, d := range []*Doc{base, cur} {
+		for k := range d.Provenance {
+			if !slices.Contains(keys, k) {
+				keys = append(keys, k)
+			}
 		}
-		return *d.ShardCount
 	}
-	if shardOf(base) != shardOf(cur) {
-		return nil, incomparable("shard_count", shardOf(base), shardOf(cur))
-	}
-	// Solver provenance: tri-state, so a nil (pre-registry) document is
-	// equivalent to the default "pixel" backend.
-	solverOf := func(d *Doc) string {
-		if d.Solver == nil {
-			return "pixel"
+	slices.Sort(keys)
+	for _, k := range keys {
+		if b, c := base.provenance(k), cur.provenance(k); b != c {
+			return nil, fmt.Errorf("benchfmt: incomparable runs: %s differs (baseline %s, current %s)", k, b, c)
 		}
-		return *d.Solver
-	}
-	if solverOf(base) != solverOf(cur) {
-		return nil, incomparable("solver", solverOf(base), solverOf(cur))
-	}
-	// Fidelity-schedule provenance: tri-state like shard_count — nil,
-	// empty and all-ones schedules are all "full fidelity" and mutually
-	// comparable; any other difference changes the kernel counts the
-	// TATs measured, so the runs are incomparable.
-	if !sameSchedule(base.FidelitySchedule, cur.FidelitySchedule) {
-		return nil, incomparable("fidelity_schedule", scheduleString(base.FidelitySchedule), scheduleString(cur.FidelitySchedule))
 	}
 	tatScale := func(d *Doc) (float64, error) {
 		if opts.AbsoluteTAT {
@@ -389,76 +414,23 @@ func Compare(base, cur *Doc, opts CompareOptions) (*Result, error) {
 	}
 
 	res := &Result{}
-	// Allocation gate: compared only when both documents carry the
-	// measurement (the field is optional for older baselines). Counts
-	// are deterministic per code version, so the tolerance is a small
-	// absolute slack for pool warm-up jitter, not a relative threshold —
-	// a baseline of 0 must stay 0.
-	if base.LossGradAllocs != nil && cur.LossGradAllocs != nil {
-		res.Checked++
-		const allocSlack = 0.5
-		if *cur.LossGradAllocs > *base.LossGradAllocs+allocSlack {
-			rel := math.Inf(1)
-			if *base.LossGradAllocs > 0 {
-				rel = *cur.LossGradAllocs / *base.LossGradAllocs - 1
-			}
-			res.Regressions = append(res.Regressions, Finding{
-				Experiment: "hotpath", Method: "LossGrad", Metric: "allocs/op",
-				Base: *base.LossGradAllocs, Cur: *cur.LossGradAllocs, Rel: rel,
-			})
+	for _, g := range gauges {
+		b, inBase := base.Gauges[g.name]
+		c, inCur := cur.Gauges[g.name]
+		if !inBase || !inCur {
+			continue
 		}
-	}
-	// Cache gate: same tri-state contract as the allocation gate, but
-	// the direction is inverted — the hit rate must not DROP. The rate
-	// is deterministic per code version; the small absolute slack only
-	// absorbs experiment-shape drift, so a baseline of 1.0 effectively
-	// pins full reuse.
-	if base.CacheHitRate != nil && cur.CacheHitRate != nil {
 		res.Checked++
-		const hitRateSlack = 0.02
-		if *cur.CacheHitRate < *base.CacheHitRate-hitRateSlack {
-			rel := 0.0
-			if *base.CacheHitRate > 0 {
-				rel = *cur.CacheHitRate / *base.CacheHitRate - 1
-			}
-			res.Regressions = append(res.Regressions, Finding{
-				Experiment: "cache", Method: "TileCache", Metric: "hit-rate",
-				Base: *base.CacheHitRate, Cur: *cur.CacheHitRate, Rel: rel,
-			})
+		worse := c > b+g.slack
+		if g.higherIsBetter {
+			worse = c < b-g.slack
 		}
-	}
-	// Convergence gate: like the allocation gate, iterations-to-quality
-	// is deterministic per code version and must not grow — more
-	// iterations at 8×8 means the coarse space lost effectiveness. The
-	// absolute slack is one fine stage's budget, absorbing threshold
-	// quantisation at the stage boundary.
-	if base.IterationsToQuality != nil && cur.IterationsToQuality != nil {
-		res.Checked++
-		const iterSlack = 4.0
-		if *cur.IterationsToQuality > *base.IterationsToQuality+iterSlack {
-			rel := math.Inf(1)
-			if *base.IterationsToQuality > 0 {
-				rel = *cur.IterationsToQuality / *base.IterationsToQuality - 1
-			}
+		if worse {
+			// c/b is +Inf for growth from a 0 baseline; a drop below 0
+			// cannot happen, gauges being non-negative.
 			res.Regressions = append(res.Regressions, Finding{
-				Experiment: "scaling", Method: "TwoLevel", Metric: "iters-to-quality",
-				Base: *base.IterationsToQuality, Cur: *cur.IterationsToQuality, Rel: rel,
-			})
-		}
-	}
-	// Dropout gate: inverted like the cache gate — the dropped-solve
-	// rate must not fall, or per-tile convergence detection got weaker.
-	if base.TilesDroppedRate != nil && cur.TilesDroppedRate != nil {
-		res.Checked++
-		const dropRateSlack = 0.02
-		if *cur.TilesDroppedRate < *base.TilesDroppedRate-dropRateSlack {
-			rel := 0.0
-			if *base.TilesDroppedRate > 0 {
-				rel = *cur.TilesDroppedRate / *base.TilesDroppedRate - 1
-			}
-			res.Regressions = append(res.Regressions, Finding{
-				Experiment: "scaling", Method: "Dropout", Metric: "dropped-rate",
-				Base: *base.TilesDroppedRate, Cur: *cur.TilesDroppedRate, Rel: rel,
+				Experiment: g.experiment, Method: g.method, Metric: g.metric,
+				Base: b, Cur: c, Rel: c/b - 1,
 			})
 		}
 	}
@@ -513,41 +485,6 @@ func Compare(base, cur *Doc, opts CompareOptions) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// sameSchedule canonicalises the tri-state fidelity provenance: two
-// schedules compare equal element-wise, with any fully-full schedule
-// (nil, empty, or all entries 1) matching any other — a budget of 1
-// evaluates the complete kernel set regardless of schedule length.
-func sameSchedule(a, b []float64) bool {
-	full := func(s []float64) bool {
-		for _, f := range s {
-			if f != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if full(a) && full(b) {
-		return true
-	}
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// scheduleString renders a schedule for the incomparable error.
-func scheduleString(s []float64) string {
-	if len(s) == 0 {
-		return "full"
-	}
-	return fmt.Sprintf("%v", s)
 }
 
 func findExperiment(d *Doc, name string) *Experiment {

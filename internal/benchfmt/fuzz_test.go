@@ -21,6 +21,11 @@ func TestParseAcceptsCommittedBaseline(t *testing.T) {
 	if len(d.Experiments) == 0 || d.CalibNS <= 0 {
 		t.Fatalf("baseline parsed implausibly: %+v", d)
 	}
+	// The legacy shim maps every top-level provenance field and gauge.
+	if d.Provenance["scale"] != "small" || d.Provenance["n"] != "64" || d.Provenance["shard_count"] != "1" ||
+		len(d.Provenance) != 8 || len(d.Gauges) != 4 {
+		t.Fatalf("baseline maps implausible: %v %v", d.Provenance, d.Gauges)
+	}
 }
 
 func TestParseRejectsInvalidDocs(t *testing.T) {
@@ -31,9 +36,14 @@ func TestParseRejectsInvalidDocs(t *testing.T) {
 		`{"experiments":[{"experiment":"t","methods":[{"name":""}]}]}`,
 		`{"experiments":[{"experiment":"t","methods":[{"name":"m","metrics":{"L2":-1}}]}]}`,
 		`{"experiments":[{"experiment":"t","headers":["a","b"],"rows":[["x"]]}]}`,
-		`{"fidelity_schedule":[0.9,0]}`,
-		`{"fidelity_schedule":[1.5]}`,
-		`{"fidelity_schedule":[-0.1,1]}`,
+		`{"shard_count":0}`,
+		`{"solver":""}`,
+		`{"cache_hit_rate":1.5}`,
+		`{"lossgrad_allocs_per_op":-1}`,
+		`{"provenance":{"scale":""}}`,
+		`{"gauges":{"bogus":1}}`,
+		`{"gauges":{"tiles_dropped_rate":-0.1}}`,
+		`{"provenance":{"n":64}}`,
 		`not json`,
 	}
 	for _, s := range bad {
@@ -54,7 +64,7 @@ func FuzzParseTrajectory(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"scale":"small","n":64,"clip":128,"calib_ns":1,"experiments":[{"experiment":"table1","headers":["a"],"rows":[["1"]]}]}`))
 	f.Add([]byte(`{"experiments":[{"experiment":"t","methods":[{"name":"m","metrics":{"L2":1e308,"TATSec":0.5}}]}]}`))
-	f.Add([]byte(`{"fidelity_schedule":[0.9,0.95,1],"experiments":[]}`))
+	f.Add([]byte(`{"provenance":{"scale":"small","n":"64","solver":"admm"},"gauges":{"cache_hit_rate":1,"iterations_to_quality":12},"experiments":[]}`))
 	f.Add([]byte(`{"solver":"admm","shard_count":1,"experiments":[{"experiment":"solvers","headers":["Solver","L2"],"rows":[["admm","1200"]]}]}`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Fuzz(func(t *testing.T, data []byte) {

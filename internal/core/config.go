@@ -23,6 +23,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"mgsilt/internal/cache"
@@ -367,6 +369,25 @@ func (c *Config) fineFidelity(stage int) float64 {
 		return 0
 	}
 	return c.FidelitySchedule[stage]
+}
+
+// ParseFidelitySchedule parses the comma-separated per-fine-stage
+// kernel energy budgets of a -fidelity flag (spaces around tokens are
+// ignored); "" is nil, i.e. full fidelity. Range and length checks are
+// Validate's job: this only requires well-formed floats.
+func ParseFidelitySchedule(s string) ([]float64, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var sched []float64
+	for _, tok := range strings.Split(s, ",") {
+		f, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
+		if err != nil {
+			return nil, fmt.Errorf("fidelity schedule %q: %w", s, err)
+		}
+		sched = append(sched, f)
+	}
+	return sched, nil
 }
 
 // coarseCorrectScale resolves the correction grid's restriction

@@ -155,6 +155,45 @@ func TestSolverResolution(t *testing.T) {
 	}
 }
 
+func TestParseFidelitySchedule(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []float64
+		bad  bool
+	}{
+		{in: "", want: nil},
+		{in: "1", want: []float64{1}},
+		{in: "0.9,1", want: []float64{0.9, 1}},
+		{in: " 0.75 , 0.9,1 ", want: []float64{0.75, 0.9, 1}},
+		{in: "0.9,,1", bad: true},
+		{in: "0.9,", bad: true},
+		{in: "0.9,full", bad: true},
+	}
+	for _, tc := range cases {
+		got, err := ParseFidelitySchedule(tc.in)
+		if tc.bad {
+			if err == nil {
+				t.Errorf("%q: accepted as %v", tc.in, got)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v", tc.in, err)
+			continue
+		}
+		if len(got) != len(tc.want) || (got == nil) != (tc.want == nil) {
+			t.Errorf("%q: got %v, want %v", tc.in, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%q: got %v, want %v", tc.in, got, tc.want)
+				break
+			}
+		}
+	}
+}
+
 func TestValidateCoarseScaleBoundary(t *testing.T) {
 	// CoarseScale·TileSize == ClipSize is the largest legal cascade (a
 	// single coarse tile covering the whole clip); one step beyond is

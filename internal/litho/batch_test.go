@@ -108,6 +108,18 @@ func TestFingerprint(t *testing.T) {
 	if testSim(t).Fingerprint() != fp {
 		t.Fatalf("identical configuration produced a different fingerprint")
 	}
+	// NewDefault must build exactly these optics: on-disk tile-cache
+	// keys hash the fingerprint.
+	std, err := NewDefault(testN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if std.Fingerprint() != fp {
+		t.Fatalf("NewDefault optics differ from the explicit construction")
+	}
+	if _, err := NewDefault(0); err == nil {
+		t.Fatalf("NewDefault accepted grid 0")
+	}
 
 	kc := kernels.DefaultConfig(testN)
 	nom := kernels.MustGenerate(kc)

@@ -161,6 +161,24 @@ func New(nominal, defocus *kernels.Set, cfg Config) (*Simulator, error) {
 	}, nil
 }
 
+// NewDefault builds the standard optics for native grid n: the default
+// kernel configuration, its 0.8-defocus twin for the PV-band corners
+// and the default resist. Every site that must agree on optics (the
+// CLIs, the job server, shard workers and the bench harness) builds
+// them here.
+func NewDefault(n int) (*Simulator, error) {
+	kc := kernels.DefaultConfig(n)
+	nom, err := kernels.Generate(kc)
+	if err != nil {
+		return nil, err
+	}
+	def, err := kernels.Defocused(kc, 0.8)
+	if err != nil {
+		return nil, err
+	}
+	return New(nom, def, DefaultConfig())
+}
+
 // N returns the native simulation grid size.
 func (s *Simulator) N() int { return s.n }
 

@@ -44,7 +44,6 @@ import (
 	"mgsilt/internal/device"
 	"mgsilt/internal/fault"
 	"mgsilt/internal/grid"
-	"mgsilt/internal/kernels"
 	"mgsilt/internal/layout"
 	"mgsilt/internal/litho"
 	"mgsilt/internal/opt"
@@ -110,7 +109,8 @@ type JobSpec struct {
 	// CoarseCorrect toggles the two-level Schwarz coarse-grid
 	// correction between fine stages; DropTol enables per-tile
 	// convergence dropout (per-pixel RMS tolerance, 0 = off). Both
-	// fall back to the server-wide Options defaults when nil.
+	// fall back to the server-wide Options defaults when nil; Submit
+	// resolves that fallback, so a journalled spec is explicit.
 	CoarseCorrect *bool    `json:"coarse_correct,omitempty"`
 	DropTol       *float64 `json:"drop_tol,omitempty"`
 	// FidelitySchedule sets the per-fine-stage kernel energy budget
@@ -517,6 +517,21 @@ func (s *Server) normalize(spec *JobSpec) error {
 	if spec.Solver != "" && !opt.Known(spec.Solver) {
 		return fmt.Errorf("service: unknown solver %q (registered: %v)", spec.Solver, opt.Names())
 	}
+	// The server-wide knob defaults resolve here, like Solver, so the
+	// journal records the knobs a job was submitted with: a restart
+	// under different flags must not change a recovered job's run.
+	if spec.CoarseCorrect == nil {
+		cc := s.opts.CoarseCorrect
+		spec.CoarseCorrect = &cc
+	}
+	if spec.DropTol == nil {
+		tol := s.opts.DropTol
+		spec.DropTol = &tol
+	}
+	if spec.FidelitySchedule == nil {
+		sched := append([]float64{}, s.opts.FidelitySchedule...)
+		spec.FidelitySchedule = &sched
+	}
 	if spec.N == 0 {
 		spec.N = 64
 	}
@@ -921,9 +936,6 @@ func (s *Server) execute(ctx context.Context, spec JobSpec, cl *device.Cluster, 
 	if spec.PVWeight != nil {
 		cfg.PVWeight = *spec.PVWeight
 	}
-	cfg.CoarseCorrect = s.opts.CoarseCorrect
-	cfg.DropTol = s.opts.DropTol
-	cfg.FidelitySchedule = s.opts.FidelitySchedule
 	if spec.CoarseCorrect != nil {
 		cfg.CoarseCorrect = *spec.CoarseCorrect
 	}
@@ -978,16 +990,7 @@ func (s *Server) simulator(n int) (*litho.Simulator, error) {
 	if sim, ok := s.sims[n]; ok {
 		return sim, nil
 	}
-	kc := kernels.DefaultConfig(n)
-	nom, err := kernels.Generate(kc)
-	if err != nil {
-		return nil, err
-	}
-	def, err := kernels.Defocused(kc, 0.8)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := litho.New(nom, def, litho.DefaultConfig())
+	sim, err := litho.NewDefault(n)
 	if err != nil {
 		return nil, err
 	}

@@ -151,6 +151,46 @@ func TestRecoveryCompletesJournalledJobs(t *testing.T) {
 	}
 }
 
+// TestRecoveryKeepsSubmittedKnobs pins that the server-wide knob
+// defaults are resolved at submit time: a job journalled by a server
+// with two-level correction, dropout and a fidelity schedule on, then
+// recovered by a server with them off, still runs with them on.
+func TestRecoveryKeepsSubmittedKnobs(t *testing.T) {
+	dir := t.TempDir()
+	on := testOpts()
+	on.CoarseCorrect, on.DropTol, on.FidelitySchedule = true, 0.05, []float64{0.9, 1}
+	spec := smallSpec()
+	if err := (&Server{opts: on.withDefaults()}).normalize(&spec); err != nil {
+		t.Fatal(err)
+	}
+	st, err := openJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.saveRecord(jobRecord{ID: "j000001", Spec: spec, State: StateQueued, Created: time.Now()}); err != nil {
+		t.Fatal(err)
+	}
+
+	off := testOpts()
+	off.StateDir = dir
+	s, ts := newTestServer(t, off)
+	if done := waitFor(t, ts, "j000001", 60*time.Second, func(st Status) bool {
+		return st.State.Terminal()
+	}); done.State != StateDone {
+		t.Fatalf("recovered job finished as %s (%s), want done", done.State, done.Error)
+	}
+	s.mu.Lock()
+	res, got := s.jobs["j000001"].result, s.jobs["j000001"].spec
+	s.mu.Unlock()
+	if res.CoarseCorrections == 0 || res.TilesConverged == 0 {
+		t.Fatalf("recovered job ran without its submitted knobs: %d coarse corrections, %d tiles converged",
+			res.CoarseCorrections, res.TilesConverged)
+	}
+	if got.FidelitySchedule == nil || len(*got.FidelitySchedule) != 2 || (*got.FidelitySchedule)[0] != 0.9 {
+		t.Fatalf("recovered job lost its fidelity schedule: %v", got.FidelitySchedule)
+	}
+}
+
 // A server that shut down cleanly leaves a journal of terminal states;
 // a restart serves them as history and keeps accepting work.
 func TestRestartPreservesTerminalHistory(t *testing.T) {

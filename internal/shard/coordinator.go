@@ -490,9 +490,7 @@ func (c *Coordinator) encodeShard(w *workerState, reqs []core.TileRequest, poss 
 		t := TileWire{
 			Index:  req.Index,
 			Pixels: req.Pixels,
-			Iters:  req.Params.Iters, Stretch: req.Params.Stretch,
-			Plain: req.Params.Plain, LR: req.Params.LR, PVWeight: req.Params.PVWeight,
-			Fidelity: req.Params.Fidelity,
+			Params: req.Params.Lockstep(),
 		}
 		mt := w.mirror[req.Index]
 		if mt != nil && mt.targetSent != nil && matsBitEqual(mt.targetSent, req.Target) {

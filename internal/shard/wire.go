@@ -65,17 +65,12 @@ type TileWire struct {
 	// Pixels is the device working-set hint, forwarded to the worker's
 	// cluster accounting exactly like device.Job.Pixels.
 	Pixels int
-	// Solve knobs (opt.Params, minus the coordinator-side context).
-	Iters    int
-	Stretch  int
-	Plain    bool
-	LR       float64
-	PVWeight float64
-	// Fidelity is the solve's kernel energy budget (opt.Params
-	// .Fidelity; 0 = full set). On the wire it is an optional sixth
+	// Params are the solve knobs, as opt.Params.Lockstep() hands them
+	// over: Ctx and Freeze are never on the wire (the worker sets
+	// Freeze from the section below). Fidelity is an optional sixth
 	// params field, omitted when zero, so full-fidelity requests stay
 	// byte-identical to the original format.
-	Fidelity float64
+	Params opt.Params
 	// Target is the tile-local target; nil with TargetCached set means
 	// the worker already holds it for this session.
 	Target       *grid.Mat
@@ -269,10 +264,11 @@ func WriteSolveRequest(w io.Writer, req *SolveRequest) error {
 		wireMagic, req.Session, req.N, solver, len(req.Tiles))
 	for i := range req.Tiles {
 		t := &req.Tiles[i]
+		p := &t.Params
 		fmt.Fprintf(bw, "tile %d %d\nparams %d %d %d %s %s",
-			t.Index, t.Pixels, t.Iters, t.Stretch, boolInt(t.Plain), fbits(t.LR), fbits(t.PVWeight))
-		if t.Fidelity != 0 {
-			fmt.Fprintf(bw, " %s", fbits(t.Fidelity))
+			t.Index, t.Pixels, p.Iters, p.Stretch, boolInt(p.Plain), fbits(p.LR), fbits(p.PVWeight))
+		if p.Fidelity != 0 {
+			fmt.Fprintf(bw, " %s", fbits(p.Fidelity))
 		}
 		fmt.Fprintf(bw, "\n")
 		switch {
@@ -512,25 +508,25 @@ func (r *wireReader) readTile() (*TileWire, error) {
 	if len(f) != 5 && len(f) != 6 {
 		return nil, fmt.Errorf("shard: bad params line")
 	}
-	if t.Iters, err = parseInt(f[0], 0, maxWireIters); err != nil {
+	if t.Params.Iters, err = parseInt(f[0], 0, maxWireIters); err != nil {
 		return nil, err
 	}
-	if t.Stretch, err = parseInt(f[1], 1, MaxWireSide); err != nil {
+	if t.Params.Stretch, err = parseInt(f[1], 1, MaxWireSide); err != nil {
 		return nil, err
 	}
 	plain, err := parseInt(f[2], 0, 1)
 	if err != nil {
 		return nil, err
 	}
-	t.Plain = plain == 1
-	if t.LR, err = parseFbits(f[3]); err != nil {
+	t.Params.Plain = plain == 1
+	if t.Params.LR, err = parseFbits(f[3]); err != nil {
 		return nil, err
 	}
-	if t.PVWeight, err = parseFbits(f[4]); err != nil {
+	if t.Params.PVWeight, err = parseFbits(f[4]); err != nil {
 		return nil, err
 	}
 	if len(f) == 6 {
-		if t.Fidelity, err = parseFbits(f[5]); err != nil {
+		if t.Params.Fidelity, err = parseFbits(f[5]); err != nil {
 			return nil, err
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mgsilt/internal/grid"
+	"mgsilt/internal/opt"
 )
 
 func randMat(rn *rand.Rand, h, w int) *grid.Mat {
@@ -43,16 +44,16 @@ func testRequest(rn *rand.Rand) *SolveRequest {
 		Solver:  "pixel",
 		Tiles: []TileWire{
 			{
-				Index: 0, Pixels: 64, Iters: 5, Stretch: 1, LR: 0.4, PVWeight: 0.1, Fidelity: 0.9,
+				Index: 0, Pixels: 64, Params: opt.Params{Iters: 5, Stretch: 1, LR: 0.4, PVWeight: 0.1, Fidelity: 0.9},
 				Target: randMat(rn, 8, 8), Freeze: randMat(rn, 8, 8), Init: randMat(rn, 8, 8),
 			},
 			{
-				Index: 3, Pixels: 16, Iters: 7, Stretch: 2, Plain: true, LR: 0.08,
+				Index: 3, Pixels: 16, Params: opt.Params{Iters: 7, Stretch: 2, Plain: true, LR: 0.08},
 				TargetCached: true, FreezeCached: true,
 				Patch: DiffPatch(base, next),
 			},
 			{
-				Index: 1, Pixels: 64, Iters: 1, Stretch: 1, LR: 1.25e-3,
+				Index: 1, Pixels: 64, Params: opt.Params{Iters: 1, Stretch: 1, LR: 1.25e-3},
 				Target: randMat(rn, 8, 8), Init: randMat(rn, 8, 8),
 			},
 		},
@@ -78,13 +79,12 @@ func TestSolveRequestRoundTrip(t *testing.T) {
 	}
 	for i := range req.Tiles {
 		a, b := &req.Tiles[i], &got.Tiles[i]
-		if a.Index != b.Index || a.Pixels != b.Pixels || a.Iters != b.Iters ||
-			a.Stretch != b.Stretch || a.Plain != b.Plain {
+		if a.Index != b.Index || a.Pixels != b.Pixels || a.Params != b.Params {
 			t.Fatalf("tile %d header mismatch: %+v vs %+v", i, a, b)
 		}
-		if math.Float64bits(a.LR) != math.Float64bits(b.LR) ||
-			math.Float64bits(a.PVWeight) != math.Float64bits(b.PVWeight) ||
-			math.Float64bits(a.Fidelity) != math.Float64bits(b.Fidelity) {
+		if math.Float64bits(a.Params.LR) != math.Float64bits(b.Params.LR) ||
+			math.Float64bits(a.Params.PVWeight) != math.Float64bits(b.Params.PVWeight) ||
+			math.Float64bits(a.Params.Fidelity) != math.Float64bits(b.Params.Fidelity) {
 			t.Fatalf("tile %d param bits drifted", i)
 		}
 		if (a.Target == nil) != (b.Target == nil) || a.TargetCached != b.TargetCached {
@@ -117,6 +117,58 @@ func TestSolveRequestRoundTrip(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// goldenMat is a 2×2 mask with fixed values.
+func goldenMat(vals ...float64) *grid.Mat {
+	m := grid.NewMat(2, 2)
+	copy(m.Data, vals)
+	return m
+}
+
+// goldenRequest is a fixed two-tile request (one full tile, one cached
+// tile with a halo patch) at the given kernel budget.
+func goldenRequest(fidelity float64) *SolveRequest {
+	base := goldenMat(0, 0.25, 0.5, 1)
+	next := goldenMat(0, 0.75, 0.5, 1)
+	return &SolveRequest{
+		Session: "golden-e0", N: 64, Solver: "pixel",
+		Tiles: []TileWire{
+			{Index: 2, Pixels: 16, Params: opt.Params{Iters: 12, Stretch: 2, LR: 0.4, PVWeight: 0.1, Fidelity: fidelity},
+				Target: goldenMat(1, 0, 0, 1), Freeze: goldenMat(1, 1, 0, 0), Init: goldenMat(0.5, 0.5, 0.5, 0.5)},
+			{Index: 5, Pixels: 4, Params: opt.Params{Iters: 1, Stretch: 1, Plain: true, LR: 0.08, Fidelity: fidelity},
+				TargetCached: true, FreezeCached: true, Patch: DiffPatch(base, next)},
+		},
+	}
+}
+
+// TestSolveRequestGoldenBytes pins the v1 request encoding: the bytes
+// below were produced by the original encoder, so a refactor of the
+// codec or of TileWire must leave both a full-fidelity request (no
+// sixth params field) and a truncated-fidelity one byte-identical.
+func TestSolveRequestGoldenBytes(t *testing.T) {
+	const head = "mgsilt-shard v1\nrequest solve\nsession golden-e0\nn 64\nsolver pixel\ntiles 2\ntile 2 16\n"
+	const mats = "target full 2 2\n\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xf0?" +
+		"freeze full 2 2\n\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"init full 2 2\n\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00\xe0?end\ntile 5 4\n"
+	const tail = "target cached\nfreeze cached\ninit patch 2 2 1\nrun 0 1 1\n\x00\x00\x00\x00\x00\x00\xe8?end\n"
+	for _, tc := range []struct {
+		fidelity float64
+		want     string
+	}{
+		{0, head + "params 12 2 0 3fd999999999999a 3fb999999999999a\n" + mats +
+			"params 1 1 1 3fb47ae147ae147b 0000000000000000\n" + tail},
+		{0.9, head + "params 12 2 0 3fd999999999999a 3fb999999999999a 3feccccccccccccd\n" + mats +
+			"params 1 1 1 3fb47ae147ae147b 0000000000000000 3feccccccccccccd\n" + tail},
+	} {
+		var buf bytes.Buffer
+		if err := WriteSolveRequest(&buf, goldenRequest(tc.fidelity)); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String(); got != tc.want {
+			t.Errorf("fidelity %v: wire bytes drifted\n got %q\nwant %q", tc.fidelity, got, tc.want)
 		}
 	}
 }

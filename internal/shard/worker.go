@@ -11,7 +11,6 @@ import (
 
 	"mgsilt/internal/device"
 	"mgsilt/internal/grid"
-	"mgsilt/internal/kernels"
 	"mgsilt/internal/litho"
 	"mgsilt/internal/opt"
 )
@@ -114,23 +113,14 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	}, nil
 }
 
-// simulator returns the cached optics for grid n, built exactly like
-// the job service's: the same kernel config, the same 0.8 defocus —
-// any construction drift here would break cross-process bit-identity.
+// simulator returns the cached optics for grid n, built by
+// litho.NewDefault like every coordinator's, so the two processes
+// agree on optics by construction (cross-process bit-identity).
 func (w *Worker) simulator(n int) (*litho.Simulator, error) {
 	if sim, ok := w.sims[n]; ok {
 		return sim, nil
 	}
-	kc := kernels.DefaultConfig(n)
-	nom, err := kernels.Generate(kc)
-	if err != nil {
-		return nil, err
-	}
-	def, err := kernels.Defocused(kc, 0.8)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := litho.New(nom, def, litho.DefaultConfig())
+	sim, err := litho.NewDefault(n)
 	if err != nil {
 		return nil, err
 	}
@@ -238,11 +228,8 @@ func (w *Worker) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 			wk.init = init
 			halo++
 		}
-		wk.params = opt.Params{
-			Iters: t.Iters, LR: t.LR, Stretch: t.Stretch,
-			PVWeight: t.PVWeight, Plain: t.Plain, Freeze: freeze,
-			Fidelity: t.Fidelity,
-		}
+		wk.params = t.Params
+		wk.params.Freeze = freeze
 		works = append(works, wk)
 	}
 
